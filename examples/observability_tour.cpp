@@ -47,7 +47,7 @@ int main() {
                               .trials = 2};
   options.scrub_interval = 2;
   options.scrub_budget = 128;
-  options.obs_enabled = true;
+  options.obs = obs::SinkOptions{};
 
   auto run = pipeline.run_with_faults(fault_spec, options);
 

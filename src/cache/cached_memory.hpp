@@ -14,9 +14,9 @@
 //    clock hand with one reference bit (second chance);
 //  * writes allocate: the line absorbs the store (dirty) and the inner
 //    scheme sees it only when the line is written back on eviction;
-//  * serve(plan, ctx) is served natively: every plan read probes the
-//    cache, and the misses plus the step's write-back/bypass traffic
-//    form a RESIDUAL AccessPlan (built into a private arena, grouped by
+//  * serve(plan, ctx): every plan read probes the cache, and the misses
+//    plus the step's write-back/bypass traffic form a RESIDUAL
+//    AccessPlan (assembled by a private pram::PlanAssembler, grouped by
 //    the inner scheme's plan_group_of when it wants groups) that is
 //    forwarded to the inner scheme in ONE inner step. Inner results
 //    scatter back into the caller's ServeContext span, and inner outage
@@ -50,7 +50,7 @@
 
 #include "pram/access_plan.hpp"
 #include "pram/memory_system.hpp"
-#include "util/arena.hpp"
+#include "pram/plan_assembler.hpp"
 #include "util/scratch_map.hpp"
 
 namespace pramsim::cache {
@@ -84,11 +84,7 @@ class CachedMemory final : public pram::MemorySystem {
  public:
   CachedMemory(std::unique_ptr<pram::MemorySystem> inner, CacheConfig config);
 
-  pram::MemStepCost step(std::span<const VarId> reads,
-                         std::span<pram::Word> read_values,
-                         std::span<const pram::VarWrite> writes) override;
-
-  /// Native serve: probe per plan read, forward a residual plan of
+  /// Serve a step: probe per plan read, forward a residual plan of
   /// misses + write-backs to the inner scheme, scatter results and
   /// outage flags back into `ctx`.
   pram::MemStepCost serve(const pram::AccessPlan& plan,
@@ -145,11 +141,6 @@ class CachedMemory final : public pram::MemorySystem {
   /// Repair passes through; any relocation stamps the cache so clean
   /// lines filled before the move are invalidated on their next hit.
   pram::ScrubResult scrub(std::uint64_t budget) override;
-
-  [[nodiscard]] std::span<const std::uint8_t> flagged_reads()
-      const override {
-    return flagged_;
-  }
 
   /// One sink observes both layers (step stamps order the events).
   void set_observer(obs::Sink* sink) override {
@@ -208,20 +199,12 @@ class CachedMemory final : public pram::MemorySystem {
   /// Reserve fill targets for the residual reads BEFORE serving the
   /// inner step, so fill evictions' write-backs join the same residual.
   void reserve_fills(std::uint64_t now);
-  /// Scatter inner results into `out`, commit fills (flagged reads
-  /// release their reserved line instead of caching a known loss), and
-  /// fold inner outage flags into flagged_ / the outer context.
-  void commit_results(std::span<pram::Word> out,
-                      std::span<const pram::Word> residual_values,
-                      std::span<const std::uint8_t> residual_flags,
-                      std::size_t n_reads, pram::ServeContext* ctx);
+  /// Scatter the residual step's results into ctx's output span, commit
+  /// fills (flagged reads release their reserved line instead of caching
+  /// a known loss), and fold the residual outage flags into ctx.
+  void commit_results(pram::ServeContext& ctx);
   /// Mirror this step's stat deltas into the obs registry.
   void publish_step_stats();
-  /// Assemble the residual AccessPlan (misses + write-back/bypass
-  /// writes) into the private arena, grouped by the inner scheme's
-  /// plan_group_of keys when it wants groups. Spans are valid until the
-  /// next begin_step().
-  [[nodiscard]] pram::AccessPlan build_residual_plan();
 
   /// Free or evictable slot, or kNoSlot when every line is pinned by the
   /// current step. Eviction write-backs queue residual writes.
@@ -250,20 +233,15 @@ class CachedMemory final : public pram::MemorySystem {
 
   CacheStats stats_;
   CacheStats step_stats_;
-  std::vector<std::uint8_t> flagged_;
 
-  // Residual-step scratch (reused across steps; arena backs the plan).
-  util::Arena arena_;
+  // Residual-step scratch (reused across steps).
+  pram::PlanAssembler residual_assembler_;
   std::vector<VarId> residual_reads_;
   std::vector<std::uint32_t> residual_to_outer_;
   std::vector<std::uint32_t> fill_slot_;
   std::vector<pram::VarWrite> residual_writes_;
   util::ScratchMap<std::uint32_t> residual_write_index_;
-  /// var -> index into residual_reads_, so build_residual_plan can merge
-  /// a bypassed write of a missed-read variable into one request.
-  util::ScratchMap<std::uint32_t> residual_read_index_;
   std::vector<pram::Word> residual_values_;
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> group_scratch_;
   pram::ServeContext residual_ctx_;
 };
 

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "majority/scheduler.hpp"
 #include "util/assert.hpp"
 #include "util/math.hpp"
 
@@ -28,21 +27,12 @@ AltBdnEngine::AltBdnEngine(std::shared_ptr<const memmap::MemoryMap> map,
   cycles_per_round_ = network_.depth() + 2 * log_n;
 }
 
-majority::EngineResult AltBdnEngine::run_step(
-    std::span<const majority::VarRequest> requests) {
-  const auto schedule =
-      majority::schedule_step(*map_, requests, scheduler_);
-  majority::EngineResult result;
-  result.time = schedule.rounds * cycles_per_round_;
-  result.work = schedule.total_copy_accesses;
-  result.accessed_mask = schedule.accessed_mask;
-  result.stats.phases = schedule.rounds;
-  result.stats.stage1_phases = schedule.stage1_rounds;
-  result.stats.stage2_phases = schedule.stage2_rounds;
-  result.stats.live_after_stage1 = schedule.live_after_stage1;
-  result.stats.max_queue = schedule.max_module_queue;
-  result.stats.live_per_phase = schedule.live_per_round;
-  return result;
+void AltBdnEngine::run_step_into(
+    std::span<const majority::VarRequest> requests,
+    majority::EngineResult& out) {
+  majority::schedule_step_into(*map_, requests, scheduler_, schedule_scratch_,
+                               scratch_);
+  majority::fill_engine_result(schedule_scratch_, cycles_per_round_, out);
 }
 
 }  // namespace pramsim::core

@@ -19,6 +19,7 @@
 #include <memory>
 
 #include "majority/engine.hpp"
+#include "majority/scheduler.hpp"
 #include "memmap/memory_map.hpp"
 #include "sortnet/batcher.hpp"
 
@@ -31,8 +32,8 @@ class AltBdnEngine final : public majority::AccessEngine {
   AltBdnEngine(std::shared_ptr<const memmap::MemoryMap> map,
                majority::SchedulerConfig scheduler);
 
-  [[nodiscard]] majority::EngineResult run_step(
-      std::span<const majority::VarRequest> requests) override;
+  void run_step_into(std::span<const majority::VarRequest> requests,
+                     majority::EngineResult& out) override;
 
   [[nodiscard]] const memmap::MemoryMap& map() const override {
     return *map_;
@@ -53,6 +54,8 @@ class AltBdnEngine final : public majority::AccessEngine {
   majority::SchedulerConfig scheduler_;
   sortnet::ComparatorNetwork network_;
   std::uint64_t cycles_per_round_ = 1;
+  majority::ScheduleResult schedule_scratch_;
+  majority::ScheduleScratch scratch_;
 };
 
 }  // namespace pramsim::core

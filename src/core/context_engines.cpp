@@ -4,7 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "majority/scheduler.hpp"
 #include "util/assert.hpp"
 #include "util/math.hpp"
 
@@ -20,12 +19,13 @@ RanadeButterflyEngine::RanadeButterflyEngine(
   PRAMSIM_ASSERT(n_processors_ >= 1);
 }
 
-majority::EngineResult RanadeButterflyEngine::run_step(
-    std::span<const majority::VarRequest> requests) {
-  majority::EngineResult result;
+void RanadeButterflyEngine::run_step_into(
+    std::span<const majority::VarRequest> requests,
+    majority::EngineResult& result) {
+  result = {};
   result.accessed_mask.assign(requests.size(), 1);  // the single copy
   if (requests.empty()) {
-    return result;
+    return;
   }
   std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
   pairs.reserve(requests.size());
@@ -44,7 +44,6 @@ majority::EngineResult RanadeButterflyEngine::run_step(
   result.work = requests.size();
   result.stats.phases = 1;
   result.stats.max_queue = load.max_congestion;
-  return result;
 }
 
 std::uint32_t hb_c(std::uint64_t m_vars) {
@@ -70,20 +69,12 @@ HbExpanderEngine::HbExpanderEngine(
   PRAMSIM_ASSERT_MSG(graph_.connected(), "expander must be connected");
 }
 
-majority::EngineResult HbExpanderEngine::run_step(
-    std::span<const majority::VarRequest> requests) {
-  const auto schedule = majority::schedule_step(*map_, requests, scheduler_);
-  majority::EngineResult result;
-  result.time = schedule.rounds * network_diameter_;
-  result.work = schedule.total_copy_accesses;
-  result.accessed_mask = schedule.accessed_mask;
-  result.stats.phases = schedule.rounds;
-  result.stats.stage1_phases = schedule.stage1_rounds;
-  result.stats.stage2_phases = schedule.stage2_rounds;
-  result.stats.live_after_stage1 = schedule.live_after_stage1;
-  result.stats.max_queue = schedule.max_module_queue;
-  result.stats.live_per_phase = schedule.live_per_round;
-  return result;
+void HbExpanderEngine::run_step_into(
+    std::span<const majority::VarRequest> requests,
+    majority::EngineResult& out) {
+  majority::schedule_step_into(*map_, requests, scheduler_, schedule_scratch_,
+                               scratch_);
+  majority::fill_engine_result(schedule_scratch_, network_diameter_, out);
 }
 
 }  // namespace pramsim::core

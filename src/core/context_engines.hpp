@@ -29,6 +29,7 @@
 #include <memory>
 
 #include "majority/engine.hpp"
+#include "majority/scheduler.hpp"
 #include "memmap/memory_map.hpp"
 #include "network/butterfly.hpp"
 #include "network/expander.hpp"
@@ -41,8 +42,8 @@ class RanadeButterflyEngine final : public majority::AccessEngine {
   RanadeButterflyEngine(std::shared_ptr<const memmap::MemoryMap> map,
                         std::uint32_t n_processors);
 
-  [[nodiscard]] majority::EngineResult run_step(
-      std::span<const majority::VarRequest> requests) override;
+  void run_step_into(std::span<const majority::VarRequest> requests,
+                     majority::EngineResult& out) override;
 
   [[nodiscard]] const memmap::MemoryMap& map() const override {
     return *map_;
@@ -66,8 +67,8 @@ class HbExpanderEngine final : public majority::AccessEngine {
                    majority::SchedulerConfig scheduler,
                    std::uint32_t graph_degree, std::uint64_t graph_seed);
 
-  [[nodiscard]] majority::EngineResult run_step(
-      std::span<const majority::VarRequest> requests) override;
+  void run_step_into(std::span<const majority::VarRequest> requests,
+                     majority::EngineResult& out) override;
 
   [[nodiscard]] const memmap::MemoryMap& map() const override {
     return *map_;
@@ -85,6 +86,8 @@ class HbExpanderEngine final : public majority::AccessEngine {
   majority::SchedulerConfig scheduler_;
   net::RegularGraph graph_;
   std::uint32_t network_diameter_;
+  majority::ScheduleResult schedule_scratch_;
+  majority::ScheduleScratch scratch_;
 };
 
 /// HB's redundancy choice: the smallest odd r = 2c-1 with

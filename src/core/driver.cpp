@@ -251,10 +251,9 @@ TraceRunResult SimulationPipeline::run_stress_impl(
     // Shard-local sink, folded into the merged result in shard order
     // below. Kept outside `shard` while serving: the family stage
     // assigns the whole TraceRunResult at once.
-    obs::Sink sink(obs::SinkOptions{options.obs_sample_interval,
-                                    options.obs_journal_capacity});
+    obs::Sink sink(options.obs.value_or(obs::SinkOptions{}));
     obs::Sink* obs_sink =
-        obs::kEnabled && options.obs_enabled ? &sink : nullptr;
+        obs::kEnabled && options.obs.has_value() ? &sink : nullptr;
     if (obs_sink != nullptr) {
       memory->set_observer(obs_sink);
     }
@@ -333,10 +332,9 @@ TraceRunResult SimulationPipeline::run_stress_impl(
   // fixed by construction, so the fold is identical at any thread count.
   TraceRunResult merged;
   merged.storage_factor = instance_.memory->storage_redundancy();
-  if (obs::kEnabled && options.obs_enabled) {
+  if (obs::kEnabled && options.obs.has_value()) {
     // Same ring bound for the merged journal as for each shard's.
-    merged.obs = obs::Sink(obs::SinkOptions{options.obs_sample_interval,
-                                            options.obs_journal_capacity});
+    merged.obs = obs::Sink(*options.obs);
   }
   for (const auto& shard : shards) {
     merged.merge(shard);
@@ -427,10 +425,9 @@ CrashRecoveryResult SimulationPipeline::run_crash_recovery(
   const auto trace = pram::make_trace(options.family, spec_.n, instance_.m,
                                       steps, trace_rng, options.trace);
 
-  obs::Sink sink(obs::SinkOptions{options.obs_sample_interval,
-                                  options.obs_journal_capacity});
+  obs::Sink sink(options.obs.value_or(obs::SinkOptions{}));
   obs::Sink* obs_sink =
-      obs::kEnabled && options.obs_enabled ? &sink : nullptr;
+      obs::kEnabled && options.obs.has_value() ? &sink : nullptr;
 
   // The crashed run, the recovered machine, and the reference run must
   // be three instances of the SAME configuration (scheme seed and fault
@@ -629,9 +626,8 @@ RecoveryResult SimulationPipeline::run_recovery(
       static_cast<std::int64_t>(memory->model().first_onset());
 
   obs::Sink* obs_sink = nullptr;
-  if (obs::kEnabled && options.obs_enabled) {
-    result.obs = obs::Sink(obs::SinkOptions{options.obs_sample_interval,
-                                            options.obs_journal_capacity});
+  if (obs::kEnabled && options.obs.has_value()) {
+    result.obs = obs::Sink(*options.obs);
     obs_sink = &result.obs;
     memory->set_observer(obs_sink);
   }

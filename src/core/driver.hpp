@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -50,7 +51,7 @@ struct TraceRunResult {
   /// scrubbing): passes the driver interleaved and what they performed.
   std::uint64_t scrub_passes = 0;
   pram::ScrubResult scrub;
-  /// Observability capture (StressOptions::obs_enabled): per-shard sinks
+  /// Observability capture (StressOptions::obs): per-shard sinks
   /// folded in shard order, so counters and journal are bit-identical at
   /// any worker count; phase timings are wall-clock (see obs/sink.hpp).
   /// Empty unless the run enabled observation.
@@ -112,17 +113,12 @@ struct StressOptions {
   /// unaffected (plans never depend on memory state).
   std::uint32_t scrub_interval = 0;
   std::uint64_t scrub_budget = 0;
-  /// Observability: attach an obs::Sink to every shard's memory (scheme
-  /// counters, phase timers, event journal) and fold the sinks in shard
-  /// order into TraceRunResult::obs. Off by default — the hot loop then
+  /// Observability, enabled iff engaged: attach an obs::Sink built from
+  /// these options (phase-timer sampling interval, per-shard journal
+  /// bound) to every shard's memory and fold the sinks in shard order
+  /// into TraceRunResult::obs. Off by default — the hot loop then
   /// carries a null observer and the hooks cost one predicted branch.
-  bool obs_enabled = false;
-  /// Phase-timer sampling interval (SinkOptions::sample_interval): time
-  /// step s when s % interval == 0; 0 disables timers but keeps
-  /// counters/journal. No effect on deterministic sections.
-  std::uint32_t obs_sample_interval = 1;
-  /// Event-journal ring bound per shard (and for the merged result).
-  std::size_t obs_journal_capacity = obs::Journal::kDefaultCapacity;
+  std::optional<obs::SinkOptions> obs = std::nullopt;
 };
 
 /// Recovery-probe parameters: a single machine serves one trace family
@@ -143,11 +139,9 @@ struct RecoveryOptions {
   /// A step is "recovered" when its masked+uncorrectable rate (bad reads
   /// per read) is at or below this.
   double recovery_threshold = 0.02;
-  /// Observability knobs, as StressOptions: capture the probe's fault
-  /// onsets / degraded votes / scrub repairs into RecoveryResult::obs.
-  bool obs_enabled = false;
-  std::uint32_t obs_sample_interval = 1;
-  std::size_t obs_journal_capacity = obs::Journal::kDefaultCapacity;
+  /// Observability, as StressOptions: capture the probe's fault onsets /
+  /// degraded votes / scrub repairs into RecoveryResult::obs.
+  std::optional<obs::SinkOptions> obs = std::nullopt;
 };
 
 /// Fault-sweep parameters: ramp the prototype's rate axes through
@@ -200,7 +194,7 @@ struct RecoveryResult {
   double final_degraded_rate = 0.0;  ///< last recorded step's rate
   pram::ReliabilityStats reliability;  ///< run totals
   pram::ScrubResult scrub;             ///< scrub totals
-  /// Observability capture (RecoveryOptions::obs_enabled): the probe is
+  /// Observability capture (RecoveryOptions::obs): the probe is
   /// single-threaded, so the journal IS the onset->repair story in step
   /// order. Empty unless enabled.
   obs::Sink obs;
@@ -278,11 +272,9 @@ struct CrashRecoveryOptions {
   KillPoint kill_point = KillPoint::kAfterWalFlush;
   /// Kill after serving this step (1-based); 0 = derive from the seed.
   std::uint64_t kill_step = 0;
-  /// Observability knobs, as StressOptions: capture the run + recovery's
+  /// Observability, as StressOptions: capture the run + recovery's
   /// checkpoint/replay events into CrashRecoveryResult::obs.
-  bool obs_enabled = false;
-  std::uint32_t obs_sample_interval = 1;
-  std::size_t obs_journal_capacity = obs::Journal::kDefaultCapacity;
+  std::optional<obs::SinkOptions> obs = std::nullopt;
 };
 
 struct CrashRecoveryResult {
@@ -300,7 +292,7 @@ struct CrashRecoveryResult {
   double recovery_seconds = 0.0;  ///< wall clock around recover()
   std::uint64_t checkpoint_bytes = 0;  ///< last checkpoint's file size
   std::uint64_t wal_bytes = 0;         ///< WAL size at the crash
-  /// Observability capture (CrashRecoveryOptions::obs_enabled).
+  /// Observability capture (CrashRecoveryOptions::obs).
   obs::Sink obs;
 };
 

@@ -91,16 +91,16 @@ std::vector<net::EdgeKey> MotEngine::round_trip_path(
   return request;
 }
 
-majority::EngineResult MotEngine::run_step(
-    std::span<const majority::VarRequest> requests) {
+void MotEngine::run_step_into(std::span<const majority::VarRequest> requests,
+                              majority::EngineResult& result) {
   const std::uint32_t r = map_->redundancy();
   const std::uint32_t c = config_.c;
   const std::uint32_t s = std::max<std::uint32_t>(config_.cluster_size, 1);
 
-  majority::EngineResult result;
+  result = {};
   result.accessed_mask.assign(requests.size(), 0);
   if (requests.empty()) {
-    return result;
+    return;
   }
 
   // ---- optional P-ROM address-translation phase ----------------------
@@ -279,7 +279,6 @@ majority::EngineResult MotEngine::run_step(
     PRAMSIM_ASSERT(states[i].accessed >= c);
     result.accessed_mask[i] = states[i].mask;
   }
-  return result;
 }
 
 }  // namespace pramsim::core

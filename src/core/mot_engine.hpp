@@ -73,8 +73,8 @@ class MotEngine final : public majority::AccessEngine {
   MotEngine(std::shared_ptr<const memmap::MemoryMap> map,
             MotEngineConfig config);
 
-  [[nodiscard]] majority::EngineResult run_step(
-      std::span<const majority::VarRequest> requests) override;
+  void run_step_into(std::span<const majority::VarRequest> requests,
+                     majority::EngineResult& out) override;
 
   [[nodiscard]] const memmap::MemoryMap& map() const override {
     return *map_;

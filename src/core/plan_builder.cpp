@@ -1,185 +1,58 @@
 #include "core/plan_builder.hpp"
 
-#include <algorithm>
-
 namespace pramsim::core {
 
-namespace {
-constexpr std::uint32_t kNone = pram::AccessPlan::kNone;
-}  // namespace
+void PlanBuilder::combine_into(const pram::AccessBatch& batch) {
+  index_.clear();
+  index_.reserve(batch.size());
+  entries_.clear();
+  reads_.clear();
+  writes_.clear();
+  writer_.clear();
+  write_read_.clear();
+  for (const auto& access : batch) {
+    const auto [slot, fresh] = index_.try_emplace(
+        access.var.value(), static_cast<std::uint32_t>(entries_.size()));
+    if (fresh) {
+      entries_.emplace_back();
+    }
+    Entry& entry = entries_[*slot];
+    if (access.op == pram::AccessOp::kRead) {
+      // Distinct reads in first-appearance order.
+      if (entry.read == pram::AccessPlan::kNone) {
+        entry.read = static_cast<std::uint32_t>(reads_.size());
+        reads_.push_back(access.var);
+      }
+      continue;
+    }
+    // CW resolution: the lowest processor id wins; distinct writes in
+    // first-appearance order.
+    if (entry.write == pram::AccessPlan::kNone) {
+      entry.write = static_cast<std::uint32_t>(writes_.size());
+      writes_.push_back({access.var, access.value});
+      writer_.push_back(access.proc);
+      write_read_.push_back(*slot);
+    } else if (access.proc.value() < writer_[entry.write].value()) {
+      writes_[entry.write].value = access.value;
+      writer_[entry.write] = access.proc;
+    }
+  }
+  // A read may follow the variable's first write in the batch, so the
+  // join is resolved only now.
+  for (auto& join : write_read_) {
+    join = entries_[join].read;
+  }
+}
 
 const pram::AccessPlan& PlanBuilder::build(const pram::AccessBatch& batch,
                                            const pram::MemorySystem& memory) {
-  arena_.reset();
-  index_.clear();
-  index_.reserve(batch.size());
-  writer_.clear();
-
-  // Upper bound every array by the batch size, then shrink the spans to
-  // the combined counts; the arena recycles the slack next build.
-  const std::size_t cap = batch.size();
-  auto reads = arena_.alloc<VarId>(cap);
-  auto writes = arena_.alloc<pram::VarWrite>(cap);
-  auto requests = arena_.alloc<pram::PlanRequest>(cap);
-  auto read_request = arena_.alloc<std::uint32_t>(cap);
-  auto write_request = arena_.alloc<std::uint32_t>(cap);
-  auto request_write = arena_.alloc<std::uint32_t>(cap);
-
-  std::uint32_t n_reads = 0;
-  std::uint32_t n_writes = 0;
-  std::uint32_t n_requests = 0;
-
-  // Pass 1 — reads: the request list leads with every read variable in
-  // first-appearance order (the order the legacy per-scheme dedup built).
-  for (const auto& access : batch) {
-    if (access.op != pram::AccessOp::kRead) {
-      continue;
-    }
-    const auto [slot, fresh] = index_.try_emplace(access.var.value(),
-                                                  n_requests);
-    (void)slot;
-    if (fresh) {
-      requests[n_requests] = {access.var, pram::AccessOp::kRead, true};
-      request_write[n_requests] = kNone;
-      reads[n_reads] = access.var;
-      read_request[n_reads] = n_requests;
-      ++n_reads;
-      ++n_requests;
-    }
-  }
-
-  // Pass 2 — writes: CW resolution (lowest processor id wins); write-only
-  // variables extend the request list in write first-appearance order.
-  for (const auto& access : batch) {
-    if (access.op != pram::AccessOp::kWrite) {
-      continue;
-    }
-    const auto [slot, fresh] = index_.try_emplace(access.var.value(),
-                                                  n_requests);
-    const std::uint32_t req = *slot;
-    if (fresh) {
-      requests[n_requests] = {access.var, pram::AccessOp::kWrite, false};
-      request_write[n_requests] = kNone;
-      ++n_requests;
-    }
-    if (requests[req].op != pram::AccessOp::kWrite) {
-      requests[req].op = pram::AccessOp::kWrite;
-    }
-    if (request_write[req] == kNone) {
-      writes[n_writes] = {access.var, access.value};
-      write_request[n_writes] = req;
-      request_write[req] = n_writes;
-      writer_.push_back(access.proc);
-      ++n_writes;
-    } else {
-      const std::uint32_t w = request_write[req];
-      if (access.proc.value() < writer_[w].value()) {
-        writes[w].value = access.value;
-        writer_[w] = access.proc;
-      }
-    }
-  }
-
-  plan_.reads = reads.first(n_reads);
-  plan_.writes = writes.first(n_writes);
-  plan_.requests = requests.first(n_requests);
-  plan_.read_request = read_request.first(n_reads);
-  plan_.write_request = write_request.first(n_writes);
-  plan_.request_write = request_write.first(n_requests);
-
-  plan_.group_keys = {};
-  plan_.group_offsets = {};
-  plan_.group_requests = {};
-  plan_.request_group = {};
-  if (memory.wants_plan_groups() && n_requests > 0) {
-    sort_scratch_.clear();
-    for (std::uint32_t j = 0; j < n_requests; ++j) {
-      sort_scratch_.emplace_back(memory.plan_group_of(requests[j].var), j);
-    }
-    // Pair order = (key, request index): a stable grouping without
-    // stable_sort's temp buffer.
-    std::sort(sort_scratch_.begin(), sort_scratch_.end());
-    auto group_requests = arena_.alloc<std::uint32_t>(n_requests);
-    auto request_group = arena_.alloc<std::uint32_t>(n_requests);
-    auto group_keys = arena_.alloc<std::uint64_t>(n_requests);
-    auto group_offsets = arena_.alloc<std::uint32_t>(n_requests + 1);
-    std::uint32_t g = 0;
-    for (std::uint32_t i = 0; i < n_requests; ++i) {
-      const auto [key, req] = sort_scratch_[i];
-      if (i == 0 || key != sort_scratch_[i - 1].first) {
-        group_keys[g] = key;
-        group_offsets[g] = i;
-        ++g;
-      }
-      group_requests[i] = req;
-      request_group[req] = g - 1;
-    }
-    group_offsets[g] = n_requests;
-    plan_.group_keys = group_keys.first(g);
-    plan_.group_offsets = group_offsets.first(g + 1);
-    plan_.group_requests = group_requests.first(n_requests);
-    plan_.request_group = request_group.first(n_requests);
-  }
-  return plan_;
+  combine_into(batch);
+  return assembler_.assemble(reads_, writes_, write_read_, memory);
 }
 
 CombinedStep PlanBuilder::combine(const pram::AccessBatch& batch) {
-  // Reuse the build pass against an ungrouped target, then materialize
-  // owning vectors for callers that outlive the builder.
-  class Ungrouped final : public pram::MemorySystem {
-   public:
-    pram::MemStepCost step(std::span<const VarId>, std::span<pram::Word>,
-                           std::span<const pram::VarWrite>) override {
-      return {};
-    }
-    [[nodiscard]] std::uint64_t size() const override { return 0; }
-    [[nodiscard]] pram::Word peek(VarId) const override { return 0; }
-    void poke(VarId, pram::Word) override {}
-  };
-  static const Ungrouped kUngrouped;
-  const auto& plan = build(batch, kUngrouped);
-  CombinedStep step;
-  step.reads.assign(plan.reads.begin(), plan.reads.end());
-  step.writes.assign(plan.writes.begin(), plan.writes.end());
-  return step;
-}
-
-std::vector<majority::VarRequest> PlanBuilder::to_requests(
-    const pram::AccessBatch& batch) {
-  std::vector<majority::VarRequest> requests;
-  requests.reserve(batch.size());
-  index_.clear();
-  index_.reserve(batch.size());
-  for (const auto& access : batch) {
-    const auto [slot, fresh] = index_.try_emplace(
-        access.var.value(), static_cast<std::uint32_t>(requests.size()));
-    if (fresh) {
-      requests.push_back({access.var, access.proc, access.op});
-      continue;
-    }
-    auto& request = requests[*slot];
-    if (access.op != pram::AccessOp::kWrite) {
-      continue;  // reads never displace an existing request
-    }
-    // A write always takes over the request; among writers the lowest
-    // processor id wins (deterministic CW convention).
-    if (request.op != pram::AccessOp::kWrite ||
-        access.proc.value() < request.requester.value()) {
-      request.requester = access.proc;
-    }
-    request.op = pram::AccessOp::kWrite;
-  }
-  return requests;
-}
-
-CombinedStep combine_batch(const pram::AccessBatch& batch) {
-  PlanBuilder builder;
-  return builder.combine(batch);
-}
-
-std::vector<majority::VarRequest> to_requests(const pram::AccessBatch& batch) {
-  PlanBuilder builder;
-  return builder.to_requests(batch);
+  combine_into(batch);
+  return {reads_, writes_};
 }
 
 }  // namespace pramsim::core

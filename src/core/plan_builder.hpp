@@ -1,28 +1,25 @@
 // PlanBuilder: combines one raw access batch into an arena-backed
 // pram::AccessPlan — the reusable execution state of the serve path.
 //
-// This subsumes the old free-standing combine_batch()/to_requests()
-// helpers (kept below as thin compatibility wrappers): the builder owns
-// all the scratch the combining pass needs — the epoch-stamped dedup
-// table, the (key, request) sort buffer for module grouping, and the
-// arena the plan's SoA arrays live in — so a warmed-up builder combines
-// and groups a step with zero heap allocations.
+// The builder owns the CW-combining scratch (the epoch-stamped dedup
+// tables and the winning-writer column) and hands the combined distinct
+// lists to its pram::PlanAssembler, which emits the request union, joins
+// and module groups. A warmed-up builder combines and groups a step with
+// zero heap allocations.
 //
 // One builder = one plan slot: the emitted plan aliases the builder's
-// arena and stays valid until the next build(). The double-buffered
+// storage and stays valid until the next build(). The double-buffered
 // pipeline keeps two builders and flips between them, letting a generator
 // thread build plan N+1 while a worker serves plan N.
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
-#include "majority/scheduler.hpp"
 #include "pram/access_plan.hpp"
 #include "pram/memory_system.hpp"
+#include "pram/plan_assembler.hpp"
 #include "pram/types.hpp"
-#include "util/arena.hpp"
 #include "util/scratch_map.hpp"
 
 namespace pramsim::core {
@@ -43,13 +40,15 @@ class PlanBuilder {
   PlanBuilder& operator=(const PlanBuilder&) = delete;
 
   /// Combine `batch` and group it for `memory` (per its plan_group_of /
-  /// wants_plan_groups). The returned plan aliases this builder's arena:
+  /// wants_plan_groups). The returned plan aliases this builder's storage:
   /// valid until the next build() on this builder.
   const pram::AccessPlan& build(const pram::AccessBatch& batch,
                                 const pram::MemorySystem& memory);
 
   /// Most recently built plan.
-  [[nodiscard]] const pram::AccessPlan& plan() const { return plan_; }
+  [[nodiscard]] const pram::AccessPlan& plan() const {
+    return assembler_.plan();
+  }
 
   /// Combine a raw access batch: concurrent reads collapse to one read,
   /// concurrent writes resolve to the lowest-processor-id writer (the
@@ -57,30 +56,26 @@ class PlanBuilder {
   /// of the combining half of build().
   [[nodiscard]] CombinedStep combine(const pram::AccessBatch& batch);
 
-  /// Deduplicate a raw access batch into distinct-variable requests for
-  /// engine-level drivers, in first-appearance order across ALL accesses.
-  /// A variable both read and written produces a single request that
-  /// PRESERVES THE WRITE: op = kWrite and the requester is the winning
-  /// (lowest-id) writer, never whichever access happened to come first.
-  [[nodiscard]] std::vector<majority::VarRequest> to_requests(
-      const pram::AccessBatch& batch);
-
  private:
-  /// var -> index into the array being deduplicated (requests or plan
-  /// rows), epoch-cleared per build.
+  /// The combining passes: fill reads_/writes_ from `batch`.
+  void combine_into(const pram::AccessBatch& batch);
+
+  /// Per distinct variable of the batch: its row in reads_ / writes_
+  /// (AccessPlan::kNone while absent).
+  struct Entry {
+    std::uint32_t read = pram::AccessPlan::kNone;
+    std::uint32_t write = pram::AccessPlan::kNone;
+  };
+  /// var -> index into entries_, epoch-cleared per build.
   util::ScratchMap<std::uint32_t> index_;
+  std::vector<Entry> entries_;
+  std::vector<VarId> reads_;
+  std::vector<pram::VarWrite> writes_;
   /// Winning writer per write row (CW resolution scratch).
   std::vector<ProcId> writer_;
-  /// (group key, request index) pairs, sorted to derive the CSR groups.
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> sort_scratch_;
-  util::Arena arena_;
-  pram::AccessPlan plan_;
+  /// Per write row: its entry, then (after combining) its read row.
+  std::vector<std::uint32_t> write_read_;
+  pram::PlanAssembler assembler_;
 };
-
-/// Compatibility wrappers over a throwaway PlanBuilder; hot paths should
-/// hold a PlanBuilder and reuse it instead.
-[[nodiscard]] CombinedStep combine_batch(const pram::AccessBatch& batch);
-[[nodiscard]] std::vector<majority::VarRequest> to_requests(
-    const pram::AccessBatch& batch);
 
 }  // namespace pramsim::core

@@ -35,7 +35,8 @@ class Checkpointer {
   explicit Checkpointer(CheckpointConfig config, obs::Sink* sink = nullptr);
 
   /// Serialize `memory` as of committed step `step` and write it
-  /// durably, then prune to the retention bound. Journals
+  /// (fwrite + fflush, durable against process death; no fsync), then
+  /// prune to the retention bound. Journals
   /// kCheckpointBegin/kCheckpointEnd and bumps checkpoint.* counters.
   /// Returns the serialized byte count.
   std::uint64_t write(pram::MemorySystem& memory, std::uint64_t step);

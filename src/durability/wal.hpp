@@ -4,7 +4,10 @@
 // acknowledgements.
 //
 // Group commit: appends encode into an in-memory buffer; flush() makes
-// the buffered records DURABLE (fwrite + fflush) in one batch. The
+// the buffered records DURABLE (fwrite + fflush) in one batch. Durable
+// means "survives process death" — the crash model is the kill-point
+// matrix, not power loss: fflush hands the bytes to the OS and nothing
+// calls fsync, so a power or kernel failure can still lose them. The
 // driver flushes every `wal_flush_interval` steps, so "committed" and
 // "durable" are distinct horizons — a crash loses at most the unflushed
 // tail, never a flushed record. Destroying a Wal WITHOUT flushing drops
@@ -86,7 +89,8 @@ class Wal {
   /// flush when step % flush_interval == 0.
   void maybe_flush(std::uint64_t step);
 
-  /// Make every buffered record durable (fwrite + fflush).
+  /// Make every buffered record durable against process death (fwrite +
+  /// fflush; no fsync).
   void flush();
 
   /// The checkpoint/truncate protocol: drop every record with

@@ -44,32 +44,23 @@ ModuleId FaultableMemory::synthetic_module(VarId var) const {
       util::SplitMix64(var.index() * 0x9E3779B97F4A7C15ULL).next() % M));
 }
 
-pram::MemStepCost FaultableMemory::step(std::span<const VarId> reads,
-                                        std::span<pram::Word> read_values,
-                                        std::span<const pram::VarWrite> writes) {
+pram::MemStepCost FaultableMemory::serve(const pram::AccessPlan& plan,
+                                         pram::ServeContext& ctx) {
   const std::uint64_t step = advance_step_clock();
   emit_onsets(step);
+  const std::span<pram::Word> read_values = ctx.read_values();
   pram::MemStepCost cost;
-  // Reads flagged as known-bad (dead module / under-threshold block)
-  // this step: excluded from the silent-wrong count — a flagged loss is
-  // an outage, not a lie. Held in flagged_ so serve()-path callers can
-  // observe the wrapper's outage view via flagged_reads().
-  flagged_.assign(reads.size(), 0);
 
   if (inner_injects_) {
-    cost = inner_->step(reads, read_values, writes);
-    const std::span<const std::uint8_t> inner_flags =
-        inner_->flagged_reads();
-    for (std::size_t i = 0; i < reads.size() && i < inner_flags.size();
-         ++i) {
-      flagged_[i] = inner_flags[i];
-    }
+    // Replica-level: the inner scheme applies the hooks itself (possibly
+    // group-parallel across ctx's executor) and flags its own losses.
+    cost = inner_->serve(plan, ctx);
   } else {
     // Wrapper-level degradation: drop writes whose synthetic module is
-    // dead, corrupt the words of surviving stores.
-    std::vector<pram::VarWrite> degraded;
-    degraded.reserve(writes.size());
-    for (const auto& write : writes) {
+    // dead, corrupt the words of surviving stores, serve the degraded
+    // plan, then override reads from dead modules and stuck cells.
+    degraded_writes_.clear();
+    for (const auto& write : plan.writes) {
       if (model_.module_dead(synthetic_module(write.var), step)) {
         ++wrapper_stats_.writes_dropped;
         continue;
@@ -78,87 +69,51 @@ pram::MemStepCost FaultableMemory::step(std::span<const VarId> reads,
       if (model_.corrupt_write(w.var.index(), 0, step, step, w.value)) {
         ++wrapper_stats_.corrupt_stores;
       }
-      degraded.push_back(w);
+      degraded_writes_.push_back(w);
     }
-    cost = inner_->step(reads, read_values, degraded);
-    for (std::size_t i = 0; i < reads.size(); ++i) {
+    cost = inner_->serve(
+        degraded_assembler_.assemble(plan.reads, degraded_writes_, *inner_),
+        ctx);
+    if (ctx.flags().empty()) {
+      ctx.enable_flags();
+    }
+    for (std::size_t i = 0; i < plan.reads.size(); ++i) {
       ++wrapper_stats_.reads_served;
-      if (model_.module_dead(synthetic_module(reads[i]), step)) {
+      if (model_.module_dead(synthetic_module(plan.reads[i]), step)) {
         read_values[i] = 0;
-        flagged_[i] = 1;
+        ctx.flag_read(i);
         ++wrapper_stats_.uncorrectable;
         ++wrapper_stats_.erasures_skipped;
         ++wrapper_stats_.units_faulty;
         continue;
       }
       pram::Word stuck = 0;
-      if (model_.stuck_at(reads[i].index(), 0, step, stuck)) {
+      if (model_.stuck_at(plan.reads[i].index(), 0, step, stuck)) {
         read_values[i] = stuck;
         ++wrapper_stats_.units_faulty;
       }
     }
   }
+  ctx.stamp_step(step);
 
   // Oracle pass (reads observe pre-step state, so check before the
-  // writes commit to the checker). Flagged reads are excluded from the
-  // mismatch count — both injection regimes report exactly which reads
-  // were served below threshold, so wrong_reads counts ONLY silent lies.
-  {
-    obs::ScopedPhase timer(obs_timing(), obs::Phase::kOracle);
-    for (std::size_t i = 0; i < reads.size(); ++i) {
-      if (flagged_[i] != 0) {
-        (void)checker_.check_read(reads[i], checker_.expected(reads[i]));
-        continue;  // counted as checked-consistent: the loss was flagged
-      }
-      if (!checker_.check_read(reads[i], read_values[i])) {
-        ++wrapper_stats_.wrong_reads;
-        obs_event(obs::EventKind::kWrongRead, reads[i].index(), 0,
-                  read_values[i], checker_.expected(reads[i]));
-        obs_count("oracle.wrong_reads");
-      }
-    }
-  }
-
-  for (const auto& write : writes) {
-    checker_.record_write(write.var, write.value);
-  }
-  return cost;
-}
-
-pram::MemStepCost FaultableMemory::serve(const pram::AccessPlan& plan,
-                                         pram::ServeContext& ctx) {
-  if (!inner_injects_) {
-    // Wrapper-level injection must observe every access: the default
-    // adapter funnels the plan through this wrapper's step() override.
-    return pram::MemorySystem::serve(plan, ctx);
-  }
-  advance_step_clock();
-  emit_onsets(steps_served());
-  const pram::MemStepCost cost = inner_->serve(plan, ctx);
-
-  // Mirror the context's outage flags (the inner scheme's view) so
-  // step()-level callers of flagged_reads() see them here too.
+  // writes commit to the checker). Flagged reads (dead module /
+  // under-threshold block) are outages, not lies: both injection regimes
+  // report exactly which reads were served below threshold, so
+  // wrong_reads counts ONLY silent lies.
   const std::span<const std::uint8_t> flags = ctx.flags();
-  flagged_.assign(plan.reads.size(), 0);
-  for (std::size_t i = 0; i < plan.reads.size() && i < flags.size(); ++i) {
-    flagged_[i] = flags[i];
-  }
-
-  // Oracle pass, identical to step()'s: flagged losses are outages, not
-  // lies; everything else must match the trace-consistency expectation.
-  const std::span<pram::Word> read_values = ctx.read_values();
   {
     obs::ScopedPhase timer(obs_timing(), obs::Phase::kOracle);
     for (std::size_t i = 0; i < plan.reads.size(); ++i) {
-      if (flagged_[i] != 0) {
-        (void)checker_.check_read(plan.reads[i],
-                                  checker_.expected(plan.reads[i]));
-        continue;
+      const VarId var = plan.reads[i];
+      if (i < flags.size() && flags[i] != 0) {
+        (void)checker_.check_read(var, checker_.expected(var));
+        continue;  // counted as checked-consistent: the loss was flagged
       }
-      if (!checker_.check_read(plan.reads[i], read_values[i])) {
+      if (!checker_.check_read(var, read_values[i])) {
         ++wrapper_stats_.wrong_reads;
-        obs_event(obs::EventKind::kWrongRead, plan.reads[i].index(), 0,
-                  read_values[i], checker_.expected(plan.reads[i]));
+        obs_event(obs::EventKind::kWrongRead, var.index(), 0,
+                  read_values[i], checker_.expected(var));
         obs_count("oracle.wrong_reads");
       }
     }

@@ -29,6 +29,7 @@
 #include "faults/fault_model.hpp"
 #include "faults/trace_checker.hpp"
 #include "pram/memory_system.hpp"
+#include "pram/plan_assembler.hpp"
 
 namespace pramsim::faults {
 
@@ -36,23 +37,20 @@ class FaultableMemory final : public pram::MemorySystem {
  public:
   FaultableMemory(std::unique_ptr<pram::MemorySystem> inner, FaultSpec spec);
 
-  pram::MemStepCost step(std::span<const VarId> reads,
-                         std::span<pram::Word> read_values,
-                         std::span<const pram::VarWrite> writes) override;
-
-  /// Replica-level injection serves plans NATIVELY: the plan forwards to
-  /// the inner scheme's own serve (which applies the hooks at copy/share
-  /// granularity — including a group-parallel backend fanning groups
-  /// across ctx's executor) and the wrapper contributes only the oracle
-  /// pass, reading outage flags from the context. Wrapper-level
-  /// injection keeps the pre-v2 behavior: the default adapter funnels
-  /// the plan through step(), which degrades traffic externally.
+  /// Replica-level injection forwards the plan verbatim to the inner
+  /// scheme's serve (which applies the hooks at copy/share granularity —
+  /// including a group-parallel backend fanning groups across ctx's
+  /// executor). Wrapper-level injection degrades the traffic itself and
+  /// serves a re-assembled plan without the dropped writes. Either way
+  /// the wrapper then runs the oracle pass, reading outage flags from
+  /// the context.
   pram::MemStepCost serve(const pram::AccessPlan& plan,
                           pram::ServeContext& ctx) override;
 
   /// Plan grouping passes through under replica-level injection (the
   /// plan reaches the inner scheme verbatim); wrapper-level injection
-  /// serves via step(), so grouping would be wasted sort work.
+  /// re-assembles its own plan for the inner scheme, so grouping the
+  /// outer plan would be wasted sort work.
   [[nodiscard]] std::uint64_t plan_group_of(VarId var) const override {
     return inner_->plan_group_of(var);
   }
@@ -107,18 +105,6 @@ class FaultableMemory final : public pram::MemorySystem {
   /// schemes have nothing to rebuild from, so the pass is a no-op).
   pram::ScrubResult scrub(std::uint64_t budget) override;
 
-  /// The wrapper's own outage view: the inner scheme's flags under
-  /// replica-level injection, the synthetic dead-module flags under
-  /// wrapper-level injection. Populated by every serving entry (the
-  /// default serve() funnels through step(), which fills this), so
-  /// ServeContext callers see flags through the wrapper too — before the
-  /// ServeContext migration the wrapper computed these flags internally
-  /// and silently dropped them.
-  [[nodiscard]] std::span<const std::uint8_t> flagged_reads()
-      const override {
-    return flagged_;
-  }
-
   [[nodiscard]] const FaultModel& model() const { return model_; }
   [[nodiscard]] const TraceChecker& checker() const { return checker_; }
   /// True when the wrapped scheme injects at its own replica/share
@@ -154,7 +140,10 @@ class FaultableMemory final : public pram::MemorySystem {
   TraceChecker checker_;
   bool inner_injects_ = false;
   pram::ReliabilityStats wrapper_stats_;
-  std::vector<std::uint8_t> flagged_;  ///< last step's outage flags
+  /// Wrapper-level serve scratch: the surviving (possibly corrupted)
+  /// writes and the plan re-assembled from them.
+  std::vector<pram::VarWrite> degraded_writes_;
+  pram::PlanAssembler degraded_assembler_;
   /// The realized kill set as (onset step, module), sorted by onset —
   /// the emit_onsets cursor walks it as the step clock advances.
   std::vector<std::pair<std::uint64_t, std::uint32_t>> onsets_;

@@ -1,9 +1,6 @@
 #include "ida/ida_memory.hpp"
 
 #include <algorithm>
-#include <numeric>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "util/assert.hpp"
 #include "util/math.hpp"
@@ -188,7 +185,8 @@ void IdaMemory::decode_blocks_healthy(std::uint64_t first_block,
                             config_.region_blocks, count, out);
 }
 
-std::vector<pram::Word> IdaMemory::decode_block(std::uint64_t block) {
+std::vector<pram::Word> IdaMemory::decode_block(std::uint64_t block,
+                                                BlockStatus* status) {
   std::uint32_t erased = 0;
   std::uint32_t faulty = 0;
   bool ok = true;
@@ -196,17 +194,21 @@ std::vector<pram::Word> IdaMemory::decode_block(std::uint64_t block) {
   if (hooks_ != nullptr) {
     // Share-unit counters accrue per decode; the READ-unit counters
     // (faults_masked, uncorrectable) are attributed per variable read
-    // in step(), so cross-scheme reliability ratios compare like units.
+    // in serve(), so cross-scheme reliability ratios compare like units.
     reliability_.erasures_skipped += erased;
     reliability_.units_faulty += erased + faulty;
     if (!ok) {
       reliability_.shares_short +=
           config_.b - (config_.d - std::min(erased, config_.d));
-      failed_blocks_.insert(block);
+      if (status != nullptr) {
+        *status = BlockStatus::kLost;
+      }
       obs_event(obs::EventKind::kUncorrectable, block, erased, faulty);
       obs_count("ida.blocks.lost");
     } else if (erased + faulty > 0) {
-      degraded_blocks_.insert(block);
+      if (status != nullptr) {
+        *status = BlockStatus::kDegraded;
+      }
       obs_event(obs::EventKind::kDegradedDecode, block, erased, faulty);
       obs_count("ida.blocks.degraded");
     }
@@ -260,148 +262,11 @@ void IdaMemory::encode_block(std::uint64_t block,
   }
 }
 
-pram::MemStepCost IdaMemory::step(std::span<const VarId> reads,
-                                  std::span<pram::Word> read_values,
-                                  std::span<const pram::VarWrite> writes) {
-  PRAMSIM_ASSERT(reads.size() == read_values.size());
-  advance_step_clock();
-  obs_count("ida.steps");
-  obs_count("ida.reads", reads.size());
-  obs_count("ida.writes", writes.size());
-  obs::PhaseSet* timing = obs_timing();
-  pram::MemStepCost cost;
-  const std::uint64_t share_accesses_before = share_accesses_;
-  failed_blocks_.clear();
-  degraded_blocks_.clear();
-  flagged_reads_.clear();
-
-  // ---- gather per-block work --------------------------------------
-  std::unordered_set<std::uint64_t> read_blocks;
-  std::unordered_map<std::uint64_t, std::vector<std::size_t>> writes_by_block;
-  for (const auto var : reads) {
-    read_blocks.insert(block_of(var));
-  }
-  for (std::size_t i = 0; i < writes.size(); ++i) {
-    writes_by_block[block_of(writes[i].var)].push_back(i);
-  }
-  // Canonical block order for both phases: the least-loaded-share
-  // selection in charge_read_block consults module_load as it
-  // accumulates, so the fold order reaches the round telemetry —
-  // iterate blocks sorted, never in hash order.
-  // pramlint: ordered-fold (keys collected then sorted before any fold)
-  std::vector<std::uint64_t> read_block_order(read_blocks.begin(),
-                                              read_blocks.end());
-  std::sort(read_block_order.begin(), read_block_order.end());
-  std::vector<std::uint64_t> write_block_order;
-  write_block_order.reserve(writes_by_block.size());
-  // pramlint: ordered-fold (keys collected then sorted before any fold)
-  for (const auto& [blk, idxs] : writes_by_block) {
-    (void)idxs;
-    write_block_order.push_back(blk);
-  }
-  std::sort(write_block_order.begin(), write_block_order.end());
-
-  // Module round accounting: modules serve one share per round, so a
-  // phase's duration is its maximum per-module share count.
-  std::vector<std::uint32_t> module_load(config_.n_modules, 0);
-  std::vector<ModuleId> copy_buf(config_.d);
-  auto charge_read_block = [&](std::uint64_t blk) {
-    placement_into_current(blk, copy_buf);
-    // Pick the b least-loaded modules among the d holding shares — the
-    // d-b slack is what lets the scheme dodge congestion.
-    std::vector<std::uint32_t> order(config_.d);
-    std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::uint32_t a, std::uint32_t b2) {
-                       return module_load[copy_buf[a].index()] <
-                              module_load[copy_buf[b2].index()];
-                     });
-    for (std::uint32_t j = 0; j < config_.b; ++j) {
-      ++module_load[copy_buf[order[j]].index()];
-    }
-    share_accesses_ += config_.b;
-    vars_processed_ += config_.b;
-  };
-  auto charge_write_block = [&](std::uint64_t blk) {
-    placement_into_current(blk, copy_buf);
-    for (std::uint32_t j = 0; j < config_.d; ++j) {
-      ++module_load[copy_buf[j].index()];
-    }
-    share_accesses_ += config_.d;
-    vars_processed_ += config_.b;
-  };
-
-  // ---- phase 1: reads (pre-step state) -----------------------------
-  for (const auto blk : read_block_order) {
-    charge_read_block(blk);
-  }
-  std::unordered_map<std::uint64_t, std::vector<pram::Word>> decoded;
-  {
-    obs::ScopedPhase timer(timing, obs::Phase::kDecode);
-    for (const auto blk : read_block_order) {
-      decoded.emplace(blk, decode_block(blk));
-    }
-  }
-  if (hooks_ != nullptr) {
-    flagged_reads_.assign(reads.size(), 0);
-  }
-  for (std::size_t i = 0; i < reads.size(); ++i) {
-    const auto blk = block_of(reads[i]);
-    read_values[i] = decoded.at(blk)[reads[i].index() % config_.b];
-    ++vars_accessed_;
-    if (hooks_ != nullptr) {
-      ++reliability_.reads_served;
-      // Every read of an under-threshold block is a FLAGGED loss;
-      // reads of a degraded-but-reconstructed block are masked faults.
-      if (failed_blocks_.count(blk) != 0) {
-        flagged_reads_[i] = 1;
-        ++reliability_.uncorrectable;
-      } else if (degraded_blocks_.count(blk) != 0) {
-        ++reliability_.faults_masked;
-      }
-    }
-  }
-  const std::uint32_t read_rounds =
-      module_load.empty() ? 0
-                          : *std::max_element(module_load.begin(),
-                                              module_load.end());
-
-  // ---- phase 2: writes (read-modify-write per block) ---------------
-  std::fill(module_load.begin(), module_load.end(), 0);
-  obs::ScopedPhase encode_timer(timing, obs::Phase::kEncode);
-  for (const auto blk : write_block_order) {
-    const auto& idxs = writes_by_block.at(blk);
-    // The block must be fetched (b shares) unless this step already read
-    // it, then re-encoded and fully rewritten (d shares).
-    if (read_blocks.find(blk) == read_blocks.end()) {
-      charge_read_block(blk);
-      decoded.emplace(blk, decode_block(blk));
-    }
-    charge_write_block(blk);
-    auto block_vals = decoded.at(blk);
-    for (const auto i : idxs) {
-      block_vals[writes[i].var.index() % config_.b] = writes[i].value;
-      ++vars_accessed_;
-    }
-    encode_block(blk, block_vals);
-  }
-  const std::uint32_t write_rounds =
-      module_load.empty() ? 0
-                          : *std::max_element(module_load.begin(),
-                                              module_load.end());
-
-  cost.time = read_rounds + write_rounds;
-  cost.work = share_accesses_ - share_accesses_before;
-  cost.max_queue = std::max(read_rounds, write_rounds);
-  return cost;
-}
-
 pram::MemStepCost IdaMemory::serve(const pram::AccessPlan& plan,
                                    pram::ServeContext& ctx) {
-  if (!plan.grouped()) {
-    // Defensive: a plan built for another target has no block groups.
-    return pram::MemorySystem::serve(plan, ctx);
-  }
+  // wants_plan_groups() is always true here, so only an empty plan
+  // arrives without groups (and then every loop below is empty).
+  PRAMSIM_ASSERT(plan.grouped() || plan.requests.empty());
   const std::span<pram::Word> read_values = ctx.read_values();
   PRAMSIM_ASSERT(plan.reads.size() == read_values.size());
   advance_step_clock();
@@ -412,16 +277,12 @@ pram::MemStepCost IdaMemory::serve(const pram::AccessPlan& plan,
   obs::PhaseSet* timing = obs_timing();
   pram::MemStepCost cost;
   const std::uint64_t share_accesses_before = share_accesses_;
-  failed_blocks_.clear();
-  degraded_blocks_.clear();
-  flagged_reads_.clear();
 
-  // The plan's groups are this scheme's blocks, ascending; one decode
-  // (and at most one re-encode) per group replaces the old per-step
-  // read_blocks set / writes_by_block map entirely.
+  // The plan's groups are this scheme's blocks, ascending: one decode
+  // and at most one re-encode per group.
   const std::size_t n_groups = plan.num_groups();
   group_has_read_.assign(n_groups, 0);
-  group_status_.assign(n_groups, 0);
+  group_status_.assign(n_groups, BlockStatus::kOk);
   for (std::size_t g = 0; g < n_groups; ++g) {
     for (std::uint32_t i = plan.group_offsets[g];
          i < plan.group_offsets[g + 1]; ++i) {
@@ -491,17 +352,10 @@ pram::MemStepCost IdaMemory::serve(const pram::AccessPlan& plan,
       decode_blocks_healthy(blk, 1, decoded_store_.data() + g * config_.b);
       return;
     }
-    const auto vals = decode_block(blk);
+    const auto vals = decode_block(blk, &group_status_[g]);
     std::copy(vals.begin(), vals.end(),
               decoded_store_.begin() + static_cast<std::ptrdiff_t>(
                                            g * config_.b));
-    if (hooks_ != nullptr) {
-      if (failed_blocks_.count(blk) != 0) {
-        group_status_[g] = 2;
-      } else if (degraded_blocks_.count(blk) != 0) {
-        group_status_[g] = 1;
-      }
-    }
   };
 
   // ---- phase 1: reads (pre-step state) -----------------------------
@@ -544,7 +398,7 @@ pram::MemStepCost IdaMemory::serve(const pram::AccessPlan& plan,
     }
   }
   if (hooks_ != nullptr) {
-    flagged_reads_.assign(plan.reads.size(), 0);
+    ctx.enable_flags();
   }
   for (std::size_t i = 0; i < plan.reads.size(); ++i) {
     const std::uint32_t g = plan.request_group[plan.read_request[i]];
@@ -555,10 +409,10 @@ pram::MemStepCost IdaMemory::serve(const pram::AccessPlan& plan,
       ++reliability_.reads_served;
       // Every read of an under-threshold block is a FLAGGED loss;
       // reads of a degraded-but-reconstructed block are masked faults.
-      if (group_status_[g] == 2) {
-        flagged_reads_[i] = 1;
+      if (group_status_[g] == BlockStatus::kLost) {
+        ctx.flag_read(i);
         ++reliability_.uncorrectable;
-      } else if (group_status_[g] == 1) {
+      } else if (group_status_[g] == BlockStatus::kDegraded) {
         ++reliability_.faults_masked;
       }
     }
@@ -608,7 +462,6 @@ pram::MemStepCost IdaMemory::serve(const pram::AccessPlan& plan,
   cost.time = read_rounds + write_rounds;
   cost.work = share_accesses_ - share_accesses_before;
   cost.max_queue = std::max(read_rounds, write_rounds);
-  adopt_legacy_flags(ctx);
   return cost;
 }
 

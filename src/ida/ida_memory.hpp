@@ -29,7 +29,6 @@
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "ida/dispersal.hpp"
@@ -66,19 +65,13 @@ class IdaMemory final : public pram::MemorySystem {
  public:
   IdaMemory(std::uint64_t m_vars, IdaMemoryConfig config);
 
-  pram::MemStepCost step(std::span<const VarId> reads,
-                         std::span<pram::Word> read_values,
-                         std::span<const pram::VarWrite> writes) override;
-
-  /// Native plan path: the plan's groups ARE this scheme's blocks
-  /// (plan_group_of = block index), so the per-step block sets/maps
-  /// disappear — phase 1 walks read groups, phase 2 write groups, both
-  /// in ascending block order, decoding into a per-instance flat buffer.
-  /// Value-equivalent to step(); cost is identical up to the (now
-  /// deterministic, ascending-block) least-loaded module selection order.
-  /// Serial under every backend: the least-loaded share pick makes
-  /// groups interdependent, so this scheme does not advertise
-  /// kGroupParallel.
+  /// Serve a step: the plan's groups ARE this scheme's blocks
+  /// (plan_group_of = block index) — phase 1 walks read groups, phase 2
+  /// write groups, both in ascending block order (which fixes the
+  /// least-loaded share selection order), decoding into a per-instance
+  /// flat buffer. Serial under every backend: the least-loaded share
+  /// pick makes groups interdependent, so this scheme does not
+  /// advertise kGroupParallel.
   pram::MemStepCost serve(const pram::AccessPlan& plan,
                           pram::ServeContext& ctx) override;
 
@@ -112,10 +105,6 @@ class IdaMemory final : public pram::MemorySystem {
   pram::ScrubResult scrub(std::uint64_t budget) override;
   [[nodiscard]] pram::ReliabilityStats reliability() const override {
     return reliability_;
-  }
-  [[nodiscard]] std::span<const std::uint8_t> flagged_reads()
-      const override {
-    return flagged_reads_;
   }
 
   // ----- scheme accounting -----
@@ -187,9 +176,13 @@ class IdaMemory final : public pram::MemorySystem {
   [[nodiscard]] static pram::Word share_checksum(std::uint64_t block,
                                                  std::uint32_t j,
                                                  pram::Word value);
+  /// Outcome of one block decode under fault hooks.
+  enum class BlockStatus : std::uint8_t { kOk, kDegraded, kLost };
   /// Decode a block and account erasures/threshold misses into
-  /// reliability_ when running under fault hooks.
-  [[nodiscard]] std::vector<pram::Word> decode_block(std::uint64_t block);
+  /// reliability_ when running under fault hooks; `status` (when given)
+  /// is set to kDegraded / kLost for reconstructed-around / lost blocks.
+  [[nodiscard]] std::vector<pram::Word> decode_block(
+      std::uint64_t block, BlockStatus* status = nullptr);
   /// The recovery rule itself (shared by decode_block and peek): healthy
   /// path reads shares 0..b-1; under fault hooks it interpolates from
   /// the first b SURVIVING share indices. Reports dead shares in
@@ -238,11 +231,6 @@ class IdaMemory final : public pram::MemorySystem {
   std::uint64_t scrub_cursor_ = 0;  ///< next block a scrub pass scans
   const pram::FaultHooks* hooks_ = nullptr;  ///< non-owning; null = healthy
   pram::ReliabilityStats reliability_;
-  /// Blocks whose last decode fell below threshold (reset per step).
-  std::unordered_set<std::uint64_t> failed_blocks_;
-  /// Blocks reconstructed around >= 1 bad share (reset per step).
-  std::unordered_set<std::uint64_t> degraded_blocks_;
-  std::vector<std::uint8_t> flagged_reads_;  ///< last step's outage flags
 
   // ----- serve() scratch (reused across steps; meaningless between) -----
   std::vector<std::uint32_t> module_load_;     ///< dense, reset via touched
@@ -251,7 +239,7 @@ class IdaMemory final : public pram::MemorySystem {
   std::vector<ModuleId> copy_scratch_;
   std::vector<pram::Word> decoded_store_;      ///< group g at [g*b,(g+1)*b)
   std::vector<std::uint8_t> group_has_read_;
-  std::vector<std::uint8_t> group_status_;     ///< 0 ok, 1 degraded, 2 failed
+  std::vector<BlockStatus> group_status_;
 };
 
 }  // namespace pramsim::ida

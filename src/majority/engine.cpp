@@ -13,28 +13,15 @@ DmmpcEngine::DmmpcEngine(std::shared_ptr<const memmap::MemoryMap> map,
   PRAMSIM_ASSERT(map_->redundancy() == 2 * config_.c - 1);
 }
 
-EngineResult DmmpcEngine::run_step(std::span<const VarRequest> requests) {
-  // Legacy allocating path (kept as the plan-vs-adapter baseline);
-  // the serve path goes through run_step_into's per-instance scratch.
-  const ScheduleResult schedule = schedule_step(*map_, requests, config_);
-  EngineResult result;
-  result.time = schedule.rounds;
-  result.work = schedule.total_copy_accesses;
-  result.accessed_mask = schedule.accessed_mask;
-  result.stats.phases = schedule.rounds;
-  result.stats.stage1_phases = schedule.stage1_rounds;
-  result.stats.stage2_phases = schedule.stage2_rounds;
-  result.stats.live_after_stage1 = schedule.live_after_stage1;
-  result.stats.max_queue = schedule.max_module_queue;
-  result.stats.live_per_phase = schedule.live_per_round;
-  return result;
-}
-
 void DmmpcEngine::run_step_into(std::span<const VarRequest> requests,
                                 EngineResult& out) {
   schedule_step_into(*map_, requests, config_, schedule_scratch_, scratch_);
-  const ScheduleResult& schedule = schedule_scratch_;
-  out.time = schedule.rounds;
+  fill_engine_result(schedule_scratch_, 1, out);
+}
+
+void fill_engine_result(const ScheduleResult& schedule,
+                        std::uint64_t time_per_round, EngineResult& out) {
+  out.time = schedule.rounds * time_per_round;
   out.work = schedule.total_copy_accesses;
   out.accessed_mask = schedule.accessed_mask;
   out.stats.phases = schedule.rounds;

@@ -49,17 +49,11 @@ class AccessEngine {
   AccessEngine(const AccessEngine&) = delete;
   AccessEngine& operator=(const AccessEngine&) = delete;
 
+  /// Schedule one step into `out`, overwriting every field (engines
+  /// with per-instance scratch reuse its buffers across steps).
   /// Requests must hold distinct variables.
-  [[nodiscard]] virtual EngineResult run_step(
-      std::span<const VarRequest> requests) = 0;
-
-  /// In-place variant for the hot serve path: reuses `out`'s buffers
-  /// across steps (same results as run_step). Engines with per-instance
-  /// scratch override this; the default copies through run_step().
   virtual void run_step_into(std::span<const VarRequest> requests,
-                             EngineResult& out) {
-    out = run_step(requests);
-  }
+                             EngineResult& out) = 0;
 
   [[nodiscard]] virtual const memmap::MemoryMap& map() const = 0;
 
@@ -74,9 +68,6 @@ class DmmpcEngine final : public AccessEngine {
  public:
   DmmpcEngine(std::shared_ptr<const memmap::MemoryMap> map,
               SchedulerConfig config);
-
-  [[nodiscard]] EngineResult run_step(
-      std::span<const VarRequest> requests) override;
 
   /// Allocation-free after warm-up: schedules into per-instance scratch.
   void run_step_into(std::span<const VarRequest> requests,
@@ -96,5 +87,10 @@ class DmmpcEngine final : public AccessEngine {
   ScheduleResult schedule_scratch_;
   ScheduleScratch scratch_;
 };
+
+/// Copy a round schedule into an engine result, charging
+/// `time_per_round` simulated time units per protocol round.
+void fill_engine_result(const ScheduleResult& schedule,
+                        std::uint64_t time_per_round, EngineResult& out);
 
 }  // namespace pramsim::majority

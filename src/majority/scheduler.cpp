@@ -1,9 +1,7 @@
 #include "majority/scheduler.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 #include <unordered_set>
-#include <utility>
 
 #include "util/assert.hpp"
 
@@ -72,237 +70,6 @@ std::uint64_t contention_round(std::span<const VarRequest> requests,
 }
 
 }  // namespace
-
-namespace {
-
-// ---------------------------------------------------------------------
-// Legacy scheduler: the original throwaway-container implementation,
-// kept verbatim as the step()-adapter baseline that bench_throughput
-// contrasts with the arena path below. It rebuilds per-request copy
-// vectors and a fresh per-round unordered_map of module claims every
-// call. Results can differ from schedule_step_into only in deterministic
-// tie-break detail (claim iteration order); both always access >= c
-// copies per request, which is all the value protocol relies on.
-// ---------------------------------------------------------------------
-
-struct LegacyRequestState {
-  VarId var;
-  std::uint32_t cluster = 0;
-  std::uint32_t member = 0;   ///< index within cluster
-  std::uint32_t accessed = 0;
-  std::uint64_t mask = 0;
-  bool dead = false;
-  std::vector<ModuleId> copies;
-};
-
-/// One contention round over throwaway containers (see contention_round
-/// above for the protocol itself).
-std::uint64_t legacy_contention_round(std::vector<LegacyRequestState>& states,
-                                      std::span<const std::uint32_t> active,
-                                      std::uint32_t c,
-                                      std::uint64_t& max_module_queue) {
-  struct Probe {
-    std::uint32_t request_idx;
-    std::uint32_t copy_idx;
-  };
-  // module -> best probe so far (+ queue depth for stats)
-  std::unordered_map<std::uint32_t, std::pair<Probe, std::uint32_t>> claims;
-  claims.reserve(active.size() * 4);
-  for (const auto idx : active) {
-    LegacyRequestState& st = states[idx];
-    if (st.dead) {
-      continue;
-    }
-    const auto r = static_cast<std::uint32_t>(st.copies.size());
-    for (std::uint32_t i = 0; i < r; ++i) {
-      if ((st.mask >> i) & 1ULL) {
-        continue;  // already accessed
-      }
-      const std::uint32_t module = st.copies[i].value();
-      auto [it, fresh] = claims.try_emplace(module, Probe{idx, i}, 1u);
-      if (!fresh) {
-        ++it->second.second;
-        const Probe& cur = it->second.first;
-        const bool better =
-            states[idx].var.value() < states[cur.request_idx].var.value() ||
-            (states[idx].var.value() == states[cur.request_idx].var.value() &&
-             i < cur.copy_idx);
-        if (better) {
-          it->second.first = Probe{idx, i};
-        }
-      }
-    }
-  }
-  // Resolve winners in ascending module order: a request that wins two
-  // modules in the same round with one access left takes whichever is
-  // resolved first, so the resolve order steers the surviving copy mask
-  // and with it the next round's claims — i.e. the round telemetry.
-  // Canonicalize instead of trusting hash order.
-  std::vector<std::uint32_t> module_order;
-  module_order.reserve(claims.size());
-  // pramlint: ordered-fold (keys collected then sorted before resolving)
-  for (const auto& [module, entry] : claims) {
-    (void)entry;
-    module_order.push_back(module);
-  }
-  std::sort(module_order.begin(), module_order.end());
-  std::uint64_t served = 0;
-  for (const auto module : module_order) {
-    const auto& entry = claims.at(module);
-    max_module_queue = std::max<std::uint64_t>(max_module_queue,
-                                               entry.second);
-    const Probe& winner = entry.first;
-    LegacyRequestState& st = states[winner.request_idx];
-    if (st.dead) {
-      continue;  // died earlier this same round via another module
-    }
-    st.mask |= (1ULL << winner.copy_idx);
-    ++st.accessed;
-    ++served;
-    if (st.accessed >= c) {
-      st.dead = true;
-    }
-  }
-  return served;
-}
-
-}  // namespace
-
-ScheduleResult schedule_step(const memmap::MemoryMap& map,
-                             std::span<const VarRequest> requests,
-                             const SchedulerConfig& config) {
-  const std::uint32_t r = map.redundancy();
-  const std::uint32_t c = config.c;
-  const std::uint32_t s = std::max<std::uint32_t>(config.cluster_size, 1);
-  PRAMSIM_ASSERT(r <= 64);
-  PRAMSIM_ASSERT(c >= 1 && c <= r);
-
-  ScheduleResult result;
-  result.accessed_mask.assign(requests.size(), 0);
-  if (requests.empty()) {
-    return result;
-  }
-
-#ifndef NDEBUG
-  {
-    std::unordered_set<std::uint32_t> distinct;
-    for (const auto& req : requests) {
-      PRAMSIM_ASSERT_MSG(distinct.insert(req.var.value()).second,
-                         "requests must be deduplicated");
-    }
-  }
-#endif
-
-  std::vector<LegacyRequestState> states(requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    states[i].var = requests[i].var;
-    states[i].cluster = requests[i].requester.value() / s;
-    states[i].member = requests[i].requester.value() % s;
-    states[i].copies = map.copies(requests[i].var);
-  }
-
-  std::vector<std::uint32_t> active;
-  active.reserve(requests.size());
-  auto all_dead = [&] {
-    return std::all_of(states.begin(), states.end(),
-                       [](const LegacyRequestState& st) { return st.dead; });
-  };
-  auto live_count = [&] {
-    return static_cast<std::uint64_t>(
-        std::count_if(states.begin(), states.end(),
-                      [](const LegacyRequestState& st) { return !st.dead; }));
-  };
-
-  if (config.all_at_once) {
-    // Ablation mode: every live request probes every round.
-    while (!all_dead()) {
-      active.clear();
-      for (std::uint32_t i = 0; i < states.size(); ++i) {
-        if (!states[i].dead) {
-          active.push_back(i);
-        }
-      }
-      result.total_copy_accesses += legacy_contention_round(
-          states, active, c, result.max_module_queue);
-      ++result.rounds;
-      result.live_per_round.push_back(live_count());
-    }
-    result.stage2_rounds = result.rounds;
-  } else {
-    // ---- stage 1: interleaved cluster turns --------------------------
-    std::unordered_map<std::uint64_t, std::uint32_t> slot;
-    for (std::uint32_t i = 0; i < states.size(); ++i) {
-      const std::uint64_t key =
-          (static_cast<std::uint64_t>(states[i].cluster) << 32) |
-          states[i].member;
-      slot[key] = i;
-    }
-    const std::uint32_t n_clusters = (config.n_processors + s - 1) / s;
-    const std::uint64_t stage1_phases =
-        static_cast<std::uint64_t>(config.stage1_turns) * s;
-    for (std::uint64_t phase = 0; phase < stage1_phases && !all_dead();
-         ++phase) {
-      active.clear();
-      for (std::uint32_t k = 0; k < n_clusters; ++k) {
-        const std::uint32_t member =
-            static_cast<std::uint32_t>((phase + k) % s);
-        const std::uint64_t key = (static_cast<std::uint64_t>(k) << 32) |
-                                  member;
-        const auto it = slot.find(key);
-        if (it != slot.end() && !states[it->second].dead) {
-          active.push_back(it->second);
-        }
-      }
-      if (active.empty()) {
-        continue;  // no round consumed: nothing was scheduled this phase
-      }
-      result.total_copy_accesses += legacy_contention_round(
-          states, active, c, result.max_module_queue);
-      ++result.rounds;
-      ++result.stage1_rounds;
-      result.live_per_round.push_back(live_count());
-    }
-    result.live_after_stage1 = live_count();
-
-    // ---- stage 2: drain leftovers, one variable per cluster ----------
-    std::vector<std::uint32_t> pending;
-    for (std::uint32_t i = 0; i < states.size(); ++i) {
-      if (!states[i].dead) {
-        pending.push_back(i);
-      }
-    }
-    std::size_t next_pending = 0;
-    std::vector<std::uint32_t> assigned;
-    auto refill = [&] {
-      assigned.erase(std::remove_if(assigned.begin(), assigned.end(),
-                                    [&](std::uint32_t i) {
-                                      return states[i].dead;
-                                    }),
-                     assigned.end());
-      while (assigned.size() < n_clusters && next_pending < pending.size()) {
-        const auto i = pending[next_pending++];
-        if (!states[i].dead) {
-          assigned.push_back(i);
-        }
-      }
-    };
-    refill();
-    while (!assigned.empty()) {
-      result.total_copy_accesses += legacy_contention_round(
-          states, assigned, c, result.max_module_queue);
-      ++result.rounds;
-      ++result.stage2_rounds;
-      result.live_per_round.push_back(live_count());
-      refill();
-    }
-  }
-
-  for (std::size_t i = 0; i < states.size(); ++i) {
-    PRAMSIM_ASSERT(states[i].accessed >= c);
-    result.accessed_mask[i] = states[i].mask;
-  }
-  return result;
-}
 
 void schedule_step_into(const memmap::MemoryMap& map,
                         std::span<const VarRequest> requests,

@@ -81,8 +81,7 @@ struct ScheduleResult {
 /// Reusable per-instance scratch for schedule_step_into: request state
 /// SoA, the flattened copy table, and the epoch-cleared per-round module
 /// claim map. Owning one of these per engine makes a warmed-up scheduler
-/// allocation-free per step (the old path rebuilt an unordered_map of
-/// module claims EVERY ROUND).
+/// allocation-free per step.
 struct ScheduleScratch {
   struct Claim {
     std::uint32_t request = 0;
@@ -105,23 +104,13 @@ struct ScheduleScratch {
   std::vector<std::uint32_t> assigned;
 };
 
-/// Schedule one P-RAM step's worth of distinct-variable requests.
-/// Precondition: requests hold distinct variables (combining already done)
-/// and map.redundancy() <= 64.
-///
-/// This is the LEGACY entry: it rebuilds throwaway containers every call
-/// (per-request copy vectors, a fresh module-claim map per round) — the
-/// baseline the bench_throughput plan-vs-adapter contrast measures.
-[[nodiscard]] ScheduleResult schedule_step(const memmap::MemoryMap& map,
-                                           std::span<const VarRequest> requests,
-                                           const SchedulerConfig& config);
-
-/// Arena variant for the hot serve path: reuses `result`'s vectors and
-/// `scratch` across steps; a warmed-up caller schedules without touching
-/// the heap. Same protocol as schedule_step; cost telemetry can differ
-/// only in deterministic tie-break detail (the claim map here resolves
-/// module winners in insertion order, identically on every platform),
-/// and every request still ends with >= c accessed copies.
+/// Schedule one P-RAM step's worth of distinct-variable requests,
+/// reusing `result`'s vectors and `scratch` across steps (a warmed-up
+/// caller schedules without touching the heap). Precondition: requests
+/// hold distinct variables (combining already done) and
+/// map.redundancy() <= 64. Module winners resolve in claim insertion
+/// order, identically on every platform; every request ends with >= c
+/// accessed copies.
 void schedule_step_into(const memmap::MemoryMap& map,
                         std::span<const VarRequest> requests,
                         const SchedulerConfig& config,

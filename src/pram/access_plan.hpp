@@ -1,17 +1,19 @@
 // AccessPlan: one P-RAM step, combined and pre-grouped for the serve path.
 //
-// The legacy step() interface hands every memory organization raw
-// (reads, writes) lists and leaves the per-step bookkeeping — deduping
-// the variable union, pairing reads with their requests, grouping by
-// target module/block — to be rebuilt from scratch inside each scheme.
-// An AccessPlan is that bookkeeping computed ONCE (by core::PlanBuilder),
-// stored SoA in a reusable arena, and shared by every layer that serves
-// the step: schemes read precomputed index arrays instead of rebuilding
-// unordered_maps.
+// MemorySystem::serve(plan, ctx) is the single entry through which every
+// memory organization serves a step, and the plan is its input: the
+// step's distinct reads and writes plus the bookkeeping every scheme
+// would otherwise rebuild — the variable union, the read/write joins,
+// and the grouping by target module/block — computed ONCE, stored SoA,
+// and shared by every layer that serves the step. pram::PlanAssembler is
+// the one function that builds that bookkeeping; core::PlanBuilder
+// (combining a raw batch), MemorySystem::step (raw distinct lists) and
+// the cache/fault wrappers (residual and degraded plans) all end in it.
 //
-// Lifetime: every span aliases the owning PlanBuilder's arena and is valid
-// until that builder's next build(). Plans are immutable once built, so a
-// generator thread can build plan N+1 while a worker serves plan N (the
+// Lifetime: the request/join/group spans alias the producing assembler's
+// arena and are valid until its next assemble(); reads/writes alias the
+// lists it was handed. Plans are immutable once built, so a generator
+// thread can build plan N+1 while a worker serves plan N (the
 // double-buffered pipeline in core::SimulationPipeline).
 #pragma once
 
@@ -33,22 +35,20 @@ struct PlanRequest {
   bool is_read = false;
 };
 
-/// The combined step. reads/writes carry exactly the arguments the legacy
-/// step() entry expects (distinct reads in first-appearance order;
-/// CW-resolved distinct writes), so the default serve() adapter is a
-/// zero-copy forward. The remaining arrays are the precomputed joins.
+/// The combined step: distinct reads, CW-resolved distinct writes, and
+/// the precomputed joins between them and the request union.
 struct AccessPlan {
   static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
 
-  /// Distinct read variables, first-appearance order.
+  /// Distinct read variables (first-appearance order when combined by
+  /// core::PlanBuilder).
   std::span<const VarId> reads;
   /// Distinct writes with their winning (lowest-writer-id) values.
   std::span<const VarWrite> writes;
 
   /// The variable union: every read variable (in reads order) followed by
   /// the write-only variables (in writes order) — the request list the
-  /// majority protocols serve, precomputed so schemes skip their per-step
-  /// dedup tables.
+  /// majority protocols serve. requests[i] serves reads[i] for every i.
   std::span<const PlanRequest> requests;
   /// read_request[i] = index into requests serving reads[i].
   std::span<const std::uint32_t> read_request;

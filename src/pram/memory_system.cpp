@@ -70,6 +70,17 @@ bool MemorySystem::restore_body(SnapshotSource& source) {
   return true;
 }
 
+MemStepCost MemorySystem::step(std::span<const VarId> reads,
+                               std::span<Word> read_values,
+                               std::span<const VarWrite> writes) {
+  PRAMSIM_ASSERT(reads.size() == read_values.size());
+  const AccessPlan& plan = step_assembler_.assemble(reads, writes, *this);
+  step_ctx_.bind(read_values);
+  const MemStepCost cost = serve(plan, step_ctx_);
+  step_flags_.assign(step_ctx_.flags().begin(), step_ctx_.flags().end());
+  return cost;
+}
+
 const char* to_string(ServeBackend backend) {
   switch (backend) {
     case ServeBackend::kSerial: return "serial";
@@ -80,20 +91,20 @@ const char* to_string(ServeBackend backend) {
 
 FlatMemory::FlatMemory(std::uint64_t m_cells) : cells_(m_cells, 0) {}
 
-MemStepCost FlatMemory::step(std::span<const VarId> reads,
-                             std::span<Word> read_values,
-                             std::span<const VarWrite> writes) {
-  PRAMSIM_ASSERT(reads.size() == read_values.size());
-  for (std::size_t i = 0; i < reads.size(); ++i) {
-    PRAMSIM_ASSERT(reads[i].index() < cells_.size());
-    read_values[i] = cells_[reads[i].index()];
+MemStepCost FlatMemory::serve(const AccessPlan& plan, ServeContext& ctx) {
+  const std::span<Word> read_values = ctx.read_values();
+  PRAMSIM_ASSERT(plan.reads.size() == read_values.size());
+  ctx.stamp_step(advance_step_clock());
+  for (std::size_t i = 0; i < plan.reads.size(); ++i) {
+    PRAMSIM_ASSERT(plan.reads[i].index() < cells_.size());
+    read_values[i] = cells_[plan.reads[i].index()];
   }
-  for (const auto& w : writes) {
+  for (const auto& w : plan.writes) {
     PRAMSIM_ASSERT(w.var.index() < cells_.size());
     cells_[w.var.index()] = w.value;
   }
   return MemStepCost{.time = 1,
-                     .work = reads.size() + writes.size()};
+                     .work = plan.reads.size() + plan.writes.size()};
 }
 
 Word FlatMemory::peek(VarId var) const {

@@ -2,11 +2,11 @@
 //
 // The ideal P-RAM reads/writes a flat array in unit time. Every simulation
 // scheme in this repository (DMMPC majority, 2DMOT, IDA, hashing) is a
-// MemorySystem implementation whose step() reports how long the simulating
-// machine took, in that machine's native time unit (protocol rounds for
-// complete-interconnect models, network cycles for bounded-degree ones).
-// Plugging a scheme into pram::Machine yields the end-to-end simulated
-// P-RAM the paper describes.
+// MemorySystem implementation whose serve() reports how long the
+// simulating machine took, in that machine's native time unit (protocol
+// rounds for complete-interconnect models, network cycles for
+// bounded-degree ones). Plugging a scheme into pram::Machine yields the
+// end-to-end simulated P-RAM the paper describes.
 #pragma once
 
 #include <algorithm>
@@ -17,6 +17,7 @@
 #include "obs/sink.hpp"
 #include "pram/access_plan.hpp"
 #include "pram/faults.hpp"
+#include "pram/plan_assembler.hpp"
 #include "pram/serve_context.hpp"
 #include "pram/snapshot.hpp"
 #include "pram/types.hpp"
@@ -77,8 +78,8 @@ enum class ServeBackend : std::uint8_t {
 ///
 /// Semantics contract (matching the P-RAM step semantics): all reads
 /// observe the state prior to this step's writes; reads/writes within a
-/// call are one P-RAM step. `reads` and `writes` each contain distinct
-/// variables (concurrent accesses are combined by the machine first).
+/// call are one P-RAM step. A step's reads and writes each contain
+/// distinct variables (concurrent accesses are combined first).
 class MemorySystem {
  public:
   virtual ~MemorySystem() = default;
@@ -87,56 +88,50 @@ class MemorySystem {
   MemorySystem(const MemorySystem&) = delete;
   MemorySystem& operator=(const MemorySystem&) = delete;
 
-  /// Serve one P-RAM step. read_values[i] receives the value of reads[i].
-  virtual MemStepCost step(std::span<const VarId> reads,
-                           std::span<Word> read_values,
-                           std::span<const VarWrite> writes) = 0;
-
-  // ----- the plan-based serve entry (three-part contract) ---------------
+  // ----- the serve contract ---------------------------------------------
   //
-  // serve(plan, ctx) is the hot batched entry: the driver combines/groups
-  // each step ONCE into an arena-backed AccessPlan (core::PlanBuilder)
-  // and hands the per-step I/O surface — output span, step clock, outage
-  // flags, executor — in one caller-owned ServeContext. The contract
-  // backends must honor:
+  // serve(plan, ctx) is the ONE place a scheme implements a P-RAM step.
+  // The plan carries the step's distinct reads and writes plus the
+  // precomputed request union, joins and (when wants_plan_groups())
+  // module groups (pram::PlanAssembler builds every plan, whether via
+  // core::PlanBuilder from a raw batch or via step() below). The context
+  // carries the per-step I/O surface: output span, step clock, outage
+  // flags, executor. Implementations must honor:
   //
-  //  * The DEFAULT serve() adapts to step() by forwarding plan.reads /
-  //    plan.writes verbatim (and mirroring the legacy flagged_reads()
-  //    surface into the context afterwards), so implementing step() alone
-  //    keeps a scheme fully functional. Wrappers (e.g.
-  //    faults::FaultableMemory) that must observe every access intercept
-  //    step() and inherit this default, which funnels plans through their
-  //    step() override.
-  //  * A native serve() override must be value-equivalent to step() for
-  //    the same combined step: same read_values, same committed state,
-  //    same outage flags. Cost/telemetry may differ only by deterministic
-  //    scheduling detail.
-  //  * serve() may keep per-instance scratch; it is called from one
-  //    thread at a time like step(). A scheme advertising kGroupParallel
+  //  * Values: ctx.read_values()[i] receives plan.reads[i]'s pre-step
+  //    value; writes commit after every read. Reads served below the
+  //    scheme's reconstruction threshold are flagged through
+  //    ctx.enable_flags() / ctx.flag_read(i), never reported as values.
+  //  * Clock: every serve advances the engine step clock exactly once
+  //    (advance_step_clock) and publishes it via ctx.stamp_step, so fault
+  //    hooks and probes share one clock. Wrappers advance their own clock
+  //    and serve their inner memory once per step, keeping the layers
+  //    aligned.
+  //  * Threading: serve may keep per-instance scratch; it is called from
+  //    one thread at a time. A scheme advertising kGroupParallel
   //    (capabilities()) and switched to ServeBackend::kGroupParallel may
-  //    additionally fan the plan's groups across ctx.executor()'s
-  //    workers — but group results must merge DETERMINISTICALLY: output
-  //    slots disjoint by construction, telemetry accumulated per chunk
-  //    and folded in group order, never atomics racing on shared
-  //    counters. Group-parallel serve must be bit-identical to serial
-  //    serve at ANY worker count.
-  //  * Every serve stamps the engine step clock (advance_step_clock) and
-  //    publishes the stamp via ctx.stamp_step, so fault hooks and probes
-  //    share one clock instead of per-scheme counters.
+  //    fan the plan's groups across ctx.executor()'s workers — but group
+  //    results must merge DETERMINISTICALLY: output slots disjoint by
+  //    construction, telemetry accumulated per chunk and folded in group
+  //    order, never atomics racing on shared counters. Group-parallel
+  //    serve must be bit-identical to serial serve at ANY worker count.
 
   /// Serve one pre-combined step. ctx.read_values()[i] receives the
   /// value of plan.reads[i].
-  virtual MemStepCost serve(const AccessPlan& plan, ServeContext& ctx) {
-    const MemStepCost cost = step(plan.reads, ctx.read_values(),
-                                  plan.writes);
-    ctx.stamp_step(steps_served());
-    adopt_legacy_flags(ctx);
-    return cost;
-  }
+  virtual MemStepCost serve(const AccessPlan& plan, ServeContext& ctx) = 0;
+
+  /// Convenience entry for callers holding raw distinct lists (the
+  /// P-RAM machine, tests): assembles the plan against this memory and
+  /// calls serve() with a context bound to `read_values`; the step's
+  /// outage flags are then readable through flagged_reads().
+  /// Virtual only because perfbench/span_memory.hpp overrides it.
+  virtual MemStepCost step(std::span<const VarId> reads,
+                           std::span<Word> read_values,
+                           std::span<const VarWrite> writes);
 
   /// Stable per-variable grouping key for plan building (target module /
   /// block / shard). Must be immutable for the memory's lifetime and safe
-  /// to call concurrently with serve()/step() — the plan generator thread
+  /// to call concurrently with serve() — the plan generator thread
   /// runs ahead of the serving thread. Schemes whose placement can change
   /// mid-run (e.g. rehashing baselines) must NOT expose it.
   [[nodiscard]] virtual std::uint64_t plan_group_of(VarId var) const {
@@ -163,9 +158,9 @@ class MemorySystem {
     return ServeBackend::kSerial;
   }
 
-  /// Steps served so far — the engine-wide step clock. Every serving
-  /// entry advances it exactly once per P-RAM step (schemes call
-  /// advance_step_clock at the top of step()/serve()); fault hooks,
+  /// Steps served so far — the engine-wide step clock. Every serve()
+  /// advances it exactly once per P-RAM step (advance_step_clock at the
+  /// top of serve()); fault hooks,
   /// scrub passes, and peek/poke verification all read this one clock
   /// instead of per-scheme stamp counters.
   [[nodiscard]] std::uint64_t steps_served() const { return step_clock_; }
@@ -212,7 +207,7 @@ class MemorySystem {
   /// (one unit ~ one storage entity examined) re-replicating copies /
   /// re-dispersing shares that faults have degraded, relocating storage
   /// off dead modules where the organization supports it. Called by the
-  /// driver BETWEEN steps (never concurrently with serve()/step()); a
+  /// driver BETWEEN steps (never concurrently with serve()); a
   /// pass must be a state no-op whenever nothing is degraded, so scrub
   /// under fault rate 0 leaves every subsequent read bit-identical.
   /// Default: nothing to rebuild (single-copy and wrapper organizations).
@@ -225,17 +220,13 @@ class MemorySystem {
   /// (all-zero when none are installed or the scheme ignores them).
   [[nodiscard]] virtual ReliabilityStats reliability() const { return {}; }
 
-  /// LEGACY per-read outage surface: flags for the most recent step
-  /// served under fault hooks; flags[i] != 0 means reads[i] fell below
-  /// the scheme's reconstruction threshold and its value is a FLAGGED
-  /// loss, not a candidate lie (the trace-consistency oracle must not
-  /// count it as a silent wrong read). Empty when the last step flagged
-  /// nothing. ServeContext::flags() is the primary transport on the
-  /// serve path; this accessor remains for step()-level callers and must
-  /// stay populated by BOTH entries.
+  /// Outage flags of the most recent step() call (the flags its
+  /// ServeContext collected; see ServeContext::flags). Empty when that
+  /// step flagged nothing. Callers of serve() read ctx.flags() instead.
+  /// Virtual only because perfbench/span_memory.hpp overrides it.
   [[nodiscard]] virtual std::span<const std::uint8_t> flagged_reads()
       const {
-    return {};
+    return step_flags_;
   }
 
   /// Scheme-chosen worst-case traffic: up to `count` distinct variables
@@ -305,26 +296,8 @@ class MemorySystem {
   [[nodiscard]] virtual bool restore_body(SnapshotSource& source);
 
   /// Advance the engine step clock by one P-RAM step and return the new
-  /// stamp. Called exactly once per served step, by whichever entry
-  /// serves it (never by adapters that delegate to another entry).
+  /// stamp. Called exactly once per served step, at the top of serve().
   std::uint64_t advance_step_clock() { return ++step_clock_; }
-
-  /// Mirror the legacy flagged_reads() surface into the context (used by
-  /// the default serve() adapter after funneling through step()).
-  void adopt_legacy_flags(ServeContext& ctx) const {
-    const auto flags = flagged_reads();
-    if (flags.empty()) {
-      return;
-    }
-    ctx.enable_flags();
-    const std::size_t n = std::min(flags.size(),
-                                   ctx.read_values().size());
-    for (std::size_t i = 0; i < n; ++i) {
-      if (flags[i] != 0) {
-        ctx.flag_read(i);
-      }
-    }
-  }
 
   // ----- observability hook helpers (no-ops unless a sink is attached,
   // and compiled away entirely under PRAMSIM_OBS=OFF) -------------------
@@ -367,6 +340,10 @@ class MemorySystem {
 
  private:
   std::uint64_t step_clock_ = 0;  ///< P-RAM steps served (fault clock)
+  // step() scratch, reused across calls.
+  PlanAssembler step_assembler_;
+  ServeContext step_ctx_;
+  std::vector<std::uint8_t> step_flags_;  ///< last step()'s outage flags
 };
 
 /// The ideal P-RAM's own memory: a flat array with unit access time.
@@ -375,8 +352,7 @@ class FlatMemory final : public MemorySystem {
  public:
   explicit FlatMemory(std::uint64_t m_cells);
 
-  MemStepCost step(std::span<const VarId> reads, std::span<Word> read_values,
-                   std::span<const VarWrite> writes) override;
+  MemStepCost serve(const AccessPlan& plan, ServeContext& ctx) override;
 
   [[nodiscard]] std::uint64_t size() const override { return cells_.size(); }
   [[nodiscard]] Word peek(VarId var) const override;

@@ -272,10 +272,10 @@ class RelocatingMemory final : public pram::MemorySystem {
  public:
   explicit RelocatingMemory(std::uint64_t m) : flat_(m) {}
 
-  pram::MemStepCost step(std::span<const VarId> reads,
-                         std::span<pram::Word> read_values,
-                         std::span<const pram::VarWrite> writes) override {
-    return flat_.step(reads, read_values, writes);
+  pram::MemStepCost serve(const pram::AccessPlan& plan,
+                          pram::ServeContext& ctx) override {
+    advance_step_clock();
+    return flat_.serve(plan, ctx);
   }
   [[nodiscard]] std::uint64_t size() const override { return flat_.size(); }
   [[nodiscard]] pram::Word peek(VarId var) const override {
@@ -389,7 +389,7 @@ TEST(CachedMemory, GroupParallelCachedPipelineBitIdenticalAcrossWorkers) {
   options.trace.zipf_exponent = 1.1;
   options.scrub_interval = 2;
   options.scrub_budget = 64;
-  options.obs_enabled = true;
+  options.obs = obs::SinkOptions{};
 
   obs::SnapshotOptions snapshot;
   snapshot.include_timings = false;

@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "core/context_engines.hpp"
@@ -17,6 +18,14 @@
 
 namespace pramsim {
 namespace {
+
+/// Schedule one step on `engine` into a fresh result.
+majority::EngineResult run(majority::AccessEngine& engine,
+                           std::span<const majority::VarRequest> reqs) {
+  majority::EngineResult result;
+  engine.run_step_into(reqs, result);
+  return result;
+}
 
 // ------------------------------ butterfly -------------------------------
 
@@ -131,7 +140,7 @@ TEST(RanadeEngine, ExpectedTimeLogarithmic) {
     for (std::uint32_t i = 0; i < n; ++i) {
       reqs.push_back({VarId(static_cast<std::uint32_t>(vars[i])), ProcId(i)});
     }
-    times.add(static_cast<double>(engine.run_step(reqs).time));
+    times.add(static_cast<double>(run(engine, reqs).time));
   }
   // 2*(dilation + congestion - 1) with dilation = 8 and congestion
   // O(log n): comfortably below 100, far below n.
@@ -158,7 +167,7 @@ TEST(RanadeEngine, AdversarialBatchBlowsUp) {
     }
   }
   ASSERT_GE(reqs.size(), 32u);
-  const auto result = engine.run_step(reqs);
+  const auto result = run(engine, reqs);
   EXPECT_GE(result.time, 2 * reqs.size());  // fully serialized
 }
 
@@ -185,7 +194,7 @@ TEST(HbEngine, CompletesWithLogOverLoglogRedundancy) {
   for (std::uint32_t i = 0; i < n; ++i) {
     reqs.push_back({VarId(static_cast<std::uint32_t>(vars[i])), ProcId(i)});
   }
-  const auto result = engine.run_step(reqs);
+  const auto result = run(engine, reqs);
   for (const auto mask : result.accessed_mask) {
     EXPECT_GE(static_cast<std::uint32_t>(__builtin_popcountll(mask)), c);
   }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -34,6 +35,13 @@ std::vector<VarRequest> distinct_requests(std::uint32_t count, std::uint64_t m,
     reqs.push_back({VarId(static_cast<std::uint32_t>(vars[i])), ProcId(i)});
   }
   return reqs;
+}
+
+majority::EngineResult run(majority::AccessEngine& engine,
+                           std::span<const VarRequest> reqs) {
+  majority::EngineResult result;
+  engine.run_step_into(reqs, result);
+  return result;
 }
 
 // --------------------------------------------------------- factory ------
@@ -87,7 +95,7 @@ TEST(Schemes, DmmpcHonorsEpsilon) {
 TEST(MotEngine, EveryRequestReachesThreshold) {
   auto inst = make_scheme({.kind = SchemeKind::kHpMot, .n = 32});
   const auto reqs = distinct_requests(32, inst.m, 3);
-  const auto result = inst.engine->run_step(reqs);
+  const auto result = run(*inst.engine, reqs);
   ASSERT_EQ(result.accessed_mask.size(), reqs.size());
   for (const auto mask : result.accessed_mask) {
     EXPECT_GE(static_cast<std::uint32_t>(__builtin_popcountll(mask)), inst.c);
@@ -99,15 +107,15 @@ TEST(MotEngine, EveryRequestReachesThreshold) {
 TEST(MotEngine, TimeAtLeastOneRoundTrip) {
   auto inst = make_scheme({.kind = SchemeKind::kHpMot, .n = 32});
   const std::vector<VarRequest> reqs = {{VarId(5), ProcId(0)}};
-  const auto result = inst.engine->run_step(reqs);
+  const auto result = run(*inst.engine, reqs);
   EXPECT_GE(result.time, 2 * inst.request_hops - 1);
 }
 
 TEST(MotEngine, DeterministicAcrossRuns) {
   auto inst = make_scheme({.kind = SchemeKind::kHpMot, .n = 64});
   const auto reqs = distinct_requests(64, inst.m, 7);
-  const auto a = inst.engine->run_step(reqs);
-  const auto b = inst.engine->run_step(reqs);
+  const auto a = run(*inst.engine, reqs);
+  const auto b = run(*inst.engine, reqs);
   EXPECT_EQ(a.time, b.time);
   EXPECT_EQ(a.work, b.work);
   EXPECT_EQ(a.accessed_mask, b.accessed_mask);
@@ -115,7 +123,7 @@ TEST(MotEngine, DeterministicAcrossRuns) {
 
 TEST(MotEngine, EmptyStepIsFree) {
   auto inst = make_scheme({.kind = SchemeKind::kHpMot, .n = 16});
-  const auto result = inst.engine->run_step({});
+  const auto result = run(*inst.engine, {});
   EXPECT_EQ(result.time, 0u);
   EXPECT_EQ(result.work, 0u);
 }
@@ -126,8 +134,8 @@ TEST(MotEngine, LcaTurnaroundNoSlowerOnAverage) {
   auto via_lca = make_scheme(
       {.kind = SchemeKind::kHpMot, .n = 64, .lca_turnaround = true});
   const auto reqs = distinct_requests(64, via_root.m, reqs_seed);
-  const auto t_root = via_root.engine->run_step(reqs).time;
-  const auto t_lca = via_lca.engine->run_step(reqs).time;
+  const auto t_root = run(*via_root.engine, reqs).time;
+  const auto t_lca = run(*via_lca.engine, reqs).time;
   EXPECT_LE(t_lca, t_root + t_root / 4);  // allow scheduling noise
 }
 
@@ -136,7 +144,7 @@ TEST(MotEngine, AllThreeSchemesComplete) {
        {SchemeKind::kHpMot, SchemeKind::kLppMot, SchemeKind::kCrossbar}) {
     auto inst = make_scheme({.kind = kind, .n = 16});
     const auto reqs = distinct_requests(16, inst.m, 11);
-    const auto result = inst.engine->run_step(reqs);
+    const auto result = run(*inst.engine, reqs);
     for (const auto mask : result.accessed_mask) {
       EXPECT_GE(static_cast<std::uint32_t>(__builtin_popcountll(mask)),
                 inst.c)
@@ -148,57 +156,11 @@ TEST(MotEngine, AllThreeSchemesComplete) {
 TEST(MotEngine, Stage1BoundsLiveSet) {
   auto inst = make_scheme({.kind = SchemeKind::kHpMot, .n = 128});
   const auto reqs = distinct_requests(128, inst.m, 13);
-  const auto result = inst.engine->run_step(reqs);
+  const auto result = run(*inst.engine, reqs);
   EXPECT_LE(result.stats.live_after_stage1, 128u / inst.r + 1);
 }
 
 // ---------------------------------------------------------- driver ------
-
-TEST(Driver, ToRequestsDeduplicates) {
-  pram::AccessBatch batch;
-  batch.push_back({ProcId(0), pram::AccessOp::kRead, VarId(5), 0});
-  batch.push_back({ProcId(1), pram::AccessOp::kWrite, VarId(5), 1});
-  batch.push_back({ProcId(2), pram::AccessOp::kRead, VarId(9), 0});
-  const auto reqs = to_requests(batch);
-  ASSERT_EQ(reqs.size(), 2u);
-  EXPECT_EQ(reqs[0].var, VarId(5));
-  // Read + write of one variable collapse to a single request that
-  // preserves the write — not whichever access came first.
-  EXPECT_EQ(reqs[0].op, pram::AccessOp::kWrite);
-  EXPECT_EQ(reqs[0].requester, ProcId(1));
-  EXPECT_EQ(reqs[1].var, VarId(9));
-  EXPECT_EQ(reqs[1].op, pram::AccessOp::kRead);
-  EXPECT_EQ(reqs[1].requester, ProcId(2));
-}
-
-TEST(Driver, ToRequestsLowestWriterWins) {
-  pram::AccessBatch batch;
-  batch.push_back({ProcId(4), pram::AccessOp::kWrite, VarId(3), 40});
-  batch.push_back({ProcId(2), pram::AccessOp::kWrite, VarId(3), 20});
-  batch.push_back({ProcId(6), pram::AccessOp::kWrite, VarId(3), 60});
-  const auto reqs = to_requests(batch);
-  ASSERT_EQ(reqs.size(), 1u);
-  EXPECT_EQ(reqs[0].op, pram::AccessOp::kWrite);
-  EXPECT_EQ(reqs[0].requester, ProcId(2));
-}
-
-TEST(Driver, CombineBatchResolvesConcurrentAccesses) {
-  pram::AccessBatch batch;
-  batch.push_back({ProcId(0), pram::AccessOp::kRead, VarId(5), 0});
-  batch.push_back({ProcId(3), pram::AccessOp::kWrite, VarId(5), 33});
-  batch.push_back({ProcId(1), pram::AccessOp::kWrite, VarId(5), 11});
-  batch.push_back({ProcId(2), pram::AccessOp::kRead, VarId(5), 0});
-  batch.push_back({ProcId(4), pram::AccessOp::kRead, VarId(9), 0});
-  const auto combined = combine_batch(batch);
-  // Var 5 is both read and written: it must appear once in each list,
-  // with the lowest-id writer's value committing.
-  ASSERT_EQ(combined.reads.size(), 2u);
-  EXPECT_EQ(combined.reads[0], VarId(5));
-  EXPECT_EQ(combined.reads[1], VarId(9));
-  ASSERT_EQ(combined.writes.size(), 1u);
-  EXPECT_EQ(combined.writes[0].var, VarId(5));
-  EXPECT_EQ(combined.writes[0].value, 11);
-}
 
 TEST(Driver, StressAggregatesAllFamilies) {
   SimulationPipeline pipeline({.kind = SchemeKind::kDmmpc, .n = 64});

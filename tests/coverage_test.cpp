@@ -198,7 +198,8 @@ TEST(SchemeFactoryEdge, SmallestSupportedMachine) {
     EXPECT_GE(inst.r, 1u) << core::to_string(kind);
     std::vector<majority::VarRequest> reqs = {{VarId(1), ProcId(0)},
                                               {VarId(2), ProcId(1)}};
-    const auto result = inst.engine->run_step(reqs);
+    majority::EngineResult result;
+    inst.engine->run_step_into(reqs, result);
     EXPECT_EQ(result.accessed_mask.size(), 2u) << core::to_string(kind);
   }
 }

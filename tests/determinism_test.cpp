@@ -212,7 +212,7 @@ TEST(Determinism, ObsSnapshotBitIdenticalAcrossWorkersAndReruns) {
                                 .trials = 2};
     options.scrub_interval = 2;
     options.scrub_budget = 64;
-    options.obs_enabled = true;
+    options.obs = obs::SinkOptions{};
 
     obs::SnapshotOptions snapshot;
     snapshot.include_timings = false;

@@ -468,7 +468,7 @@ TEST(CrashRecovery, JournalsCheckpointAndReplayEvents) {
   options.kill_point = core::KillPoint::kAfterWalFlush;
   options.durability.directory = scratch_dir("crash_obs");
   options.durability.checkpoint_interval = 4;
-  options.obs_enabled = true;
+  options.obs = obs::SinkOptions{};
 
   const auto result = pipeline.run_crash_recovery(options);
   EXPECT_TRUE(result.bit_exact);

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/driver.hpp"
+#include "core/plan_builder.hpp"
 #include "core/schemes.hpp"
 #include "faults/fault_model.hpp"
 #include "faults/faultable_memory.hpp"
@@ -21,6 +22,7 @@
 #include "majority/majority_memory.hpp"
 #include "memmap/memory_map.hpp"
 #include "pram/memory_system.hpp"
+#include "pram/serve_context.hpp"
 
 namespace pramsim {
 namespace {
@@ -387,6 +389,94 @@ TEST(FaultableMemory, WrapperLevelFallbackDegradesOpaqueSchemes) {
   EXPECT_GE(stats.writes_dropped, 1u);
   EXPECT_GE(stats.uncorrectable, 1u);
   EXPECT_EQ(stats.wrong_reads, 0u);
+}
+
+// The wrapper-level fault path driven through serve(plan, ctx), the entry
+// every pipeline run uses: a plan built by core::PlanBuilder against the
+// wrapper, outputs and outage flags read off the ServeContext.
+struct ServeProbe {
+  core::PlanBuilder builder;
+  pram::ServeContext ctx;
+  std::vector<pram::Word> values;
+
+  void serve(pram::MemorySystem& memory, const pram::AccessBatch& batch) {
+    const auto& plan = builder.build(batch, memory);
+    values.assign(plan.reads.size(), 0);
+    ctx.bind(values);
+    (void)memory.serve(plan, ctx);
+  }
+};
+
+TEST(FaultableMemory, WrapperLevelServeDropsWritesToDeadModules) {
+  // FlatMemory exposes one module; killing it kills every synthetic
+  // module, so the write never reaches the inner memory and the read is
+  // a flagged outage, not a lie.
+  faults::FaultableMemory memory(std::make_unique<pram::FlatMemory>(64),
+                                 {.seed = 41, .dead_modules = 1});
+  ASSERT_FALSE(memory.replica_level_injection());
+  ServeProbe probe;
+  probe.serve(memory, {{ProcId(0), pram::AccessOp::kWrite, VarId(5), 77}});
+  EXPECT_EQ(memory.inner().peek(VarId(5)), 0);
+  probe.serve(memory, {{ProcId(0), pram::AccessOp::kRead, VarId(5), 0},
+                       {ProcId(1), pram::AccessOp::kRead, VarId(6), 0}});
+  ASSERT_EQ(probe.values.size(), 2u);
+  EXPECT_EQ(probe.values[0], 0);
+  ASSERT_EQ(probe.ctx.flags().size(), 2u);
+  EXPECT_NE(probe.ctx.flags()[0], 0);
+  EXPECT_NE(probe.ctx.flags()[1], 0);
+  EXPECT_EQ(probe.ctx.step(), memory.steps_served());
+  const auto stats = memory.reliability();
+  EXPECT_EQ(stats.writes_dropped, 1u);
+  EXPECT_EQ(stats.uncorrectable, 2u);
+  EXPECT_EQ(stats.reads_served, 2u);
+  // The oracle expected 77 for var 5, but a flagged loss is not a lie.
+  EXPECT_EQ(stats.wrong_reads, 0u);
+}
+
+TEST(FaultableMemory, WrapperLevelServeCountsStuckReads) {
+  // Every cell stuck: the write lands, but the read returns the stuck
+  // garbage unflagged — a silent wrong read the oracle must count.
+  faults::FaultableMemory memory(std::make_unique<pram::FlatMemory>(64),
+                                 {.seed = 43, .stuck_rate = 1.0});
+  ASSERT_FALSE(memory.replica_level_injection());
+  ServeProbe probe;
+  probe.serve(memory, {{ProcId(0), pram::AccessOp::kWrite, VarId(9), 1000}});
+  EXPECT_EQ(memory.inner().peek(VarId(9)), 1000);
+  probe.serve(memory, {{ProcId(0), pram::AccessOp::kRead, VarId(9), 0}});
+  ASSERT_EQ(probe.values.size(), 1u);
+  EXPECT_NE(probe.values[0], 1000);
+  EXPECT_EQ(probe.values[0], memory.peek(VarId(9)));
+  for (const auto flag : probe.ctx.flags()) {
+    EXPECT_EQ(flag, 0);
+  }
+  const auto stats = memory.reliability();
+  EXPECT_EQ(stats.units_faulty, 1u);
+  EXPECT_EQ(stats.uncorrectable, 0u);
+  EXPECT_EQ(stats.wrong_reads, 1u);
+  EXPECT_EQ(memory.checker().mismatches(), 1u);
+}
+
+TEST(FaultableMemory, EmptyPlanOnIdaServesWithoutGroups) {
+  // An empty plan carries no block groups even though kIda wants them;
+  // serve must take it as a no-op step that still advances the clock.
+  auto bare = core::make_memory(
+      {.kind = core::SchemeKind::kIda, .n = 16, .seed = 5});
+  const auto cost = bare->step({}, {}, {});
+  EXPECT_EQ(cost.time, 0u);
+  EXPECT_EQ(cost.work, 0u);
+  EXPECT_EQ(bare->steps_served(), 1u);
+
+  faults::FaultableMemory memory(
+      core::make_memory({.kind = core::SchemeKind::kIda, .n = 16, .seed = 5}),
+      {.seed = 47, .dead_modules = 3});
+  ASSERT_TRUE(memory.replica_level_injection());
+  ServeProbe probe;
+  probe.serve(memory, {});
+  EXPECT_FALSE(probe.builder.plan().grouped());
+  EXPECT_TRUE(probe.values.empty());
+  EXPECT_EQ(memory.steps_served(), 1u);
+  EXPECT_EQ(memory.inner().steps_served(), 1u);
+  EXPECT_EQ(memory.reliability().reads_served, 0u);
 }
 
 TEST(FaultableMemory, FlaggedBlockOutagesAreNotCountedAsSilentLies) {

@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <tuple>
 #include <vector>
 
@@ -173,11 +174,20 @@ std::vector<VarRequest> distinct_requests(std::uint32_t count,
   return reqs;
 }
 
+ScheduleResult schedule(const memmap::MemoryMap& map,
+                        std::span<const VarRequest> reqs,
+                        const SchedulerConfig& config) {
+  ScheduleResult result;
+  ScheduleScratch scratch;
+  schedule_step_into(map, reqs, config, result, scratch);
+  return result;
+}
+
 TEST(Scheduler, EveryRequestReachesThreshold) {
   const auto params = memmap::derive_params(64, 2.0, 1.0, 4.0);
   HashedMap map(params.m, params.n_modules, params.r, 5);
   const auto reqs = distinct_requests(64, params.m, 7);
-  const auto result = schedule_step(map, reqs, config_for(params.c, 64));
+  const auto result = schedule(map, reqs, config_for(params.c, 64));
   ASSERT_EQ(result.accessed_mask.size(), 64u);
   for (const auto mask : result.accessed_mask) {
     EXPECT_GE(static_cast<std::uint32_t>(__builtin_popcountll(mask)),
@@ -191,8 +201,7 @@ TEST(Scheduler, EveryRequestReachesThreshold) {
 TEST(Scheduler, EmptyBatchIsFree) {
   const auto params = memmap::derive_params(64, 2.0, 1.0, 4.0);
   HashedMap map(params.m, params.n_modules, params.r, 5);
-  const auto result =
-      schedule_step(map, {}, config_for(params.c, 64));
+  const auto result = schedule(map, {}, config_for(params.c, 64));
   EXPECT_EQ(result.rounds, 0u);
   EXPECT_EQ(result.total_copy_accesses, 0u);
 }
@@ -204,7 +213,7 @@ TEST(Scheduler, SingleRequestTakesCRoundsWorstCaseOne) {
   const auto params = memmap::derive_params(64, 2.0, 1.0, 4.0);
   HashedMap map(params.m, params.n_modules, params.r, 5);
   const std::vector<VarRequest> reqs = {{VarId(3), ProcId(0)}};
-  const auto result = schedule_step(map, reqs, config_for(params.c, 64));
+  const auto result = schedule(map, reqs, config_for(params.c, 64));
   EXPECT_EQ(result.rounds, 1u);
   EXPECT_GE(result.total_copy_accesses, params.c);
 }
@@ -213,8 +222,13 @@ TEST(Scheduler, DeterministicAcrossRuns) {
   const auto params = memmap::derive_params(128, 2.0, 1.0, 4.0);
   HashedMap map(params.m, params.n_modules, params.r, 5);
   const auto reqs = distinct_requests(128, params.m, 11);
-  const auto a = schedule_step(map, reqs, config_for(params.c, 128));
-  const auto b = schedule_step(map, reqs, config_for(params.c, 128));
+  // The second run reuses the first one's result and scratch buffers.
+  ScheduleResult a;
+  ScheduleResult b;
+  ScheduleScratch scratch;
+  schedule_step_into(map, reqs, config_for(params.c, 128), a, scratch);
+  b = a;
+  schedule_step_into(map, reqs, config_for(params.c, 128), b, scratch);
   EXPECT_EQ(a.rounds, b.rounds);
   EXPECT_EQ(a.accessed_mask, b.accessed_mask);
   EXPECT_EQ(a.total_copy_accesses, b.total_copy_accesses);
@@ -225,9 +239,9 @@ TEST(Scheduler, AllAtOnceNeverSlower) {
   HashedMap map(params.m, params.n_modules, params.r, 5);
   const auto reqs = distinct_requests(128, params.m, 13);
   auto cfg = config_for(params.c, 128);
-  const auto clustered = schedule_step(map, reqs, cfg);
+  const auto clustered = schedule(map, reqs, cfg);
   cfg.all_at_once = true;
-  const auto flat = schedule_step(map, reqs, cfg);
+  const auto flat = schedule(map, reqs, cfg);
   EXPECT_LE(flat.rounds, clustered.rounds);
   for (const auto mask : flat.accessed_mask) {
     EXPECT_GE(static_cast<std::uint32_t>(__builtin_popcountll(mask)),
@@ -243,7 +257,7 @@ TEST(Scheduler, Stage1LeavesBoundedLiveSet) {
   HashedMap map(params.m, params.n_modules, params.r, 5);
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     const auto reqs = distinct_requests(256, params.m, seed);
-    const auto result = schedule_step(map, reqs, config_for(params.c, 256));
+    const auto result = schedule(map, reqs, config_for(params.c, 256));
     EXPECT_LE(result.live_after_stage1, 256u / params.r + 1)
         << "seed " << seed;
   }
@@ -261,7 +275,7 @@ TEST(Scheduler, HotModuleMapStillCompletes) {
   cfg.c = 3;
   cfg.cluster_size = 5;
   cfg.n_processors = 32;
-  const auto result = schedule_step(map, reqs, cfg);
+  const auto result = schedule(map, reqs, cfg);
   for (const auto mask : result.accessed_mask) {
     EXPECT_GE(__builtin_popcountll(mask), 3);
   }
@@ -279,7 +293,7 @@ TEST(Scheduler, RoundsGrowSublinearlyInN) {
     const auto params = memmap::derive_params(n, 2.0, 1.0, b);
     HashedMap map(params.m, params.n_modules, params.r, 5);
     const auto reqs = distinct_requests(n, params.m, 17);
-    const auto result = schedule_step(map, reqs, config_for(params.c, n));
+    const auto result = schedule(map, reqs, config_for(params.c, n));
     rounds.push_back(static_cast<double>(result.rounds));
   }
   EXPECT_LT(rounds[2], rounds[0] * 16.0);  // 16x n -> far less than 16x time

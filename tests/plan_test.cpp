@@ -1,15 +1,16 @@
 // The AccessPlan / PlanBuilder gate: the arena-backed plan must carry
 // exactly the joins the serve path consumes (request union, read/write
-// index maps, block groups), and MemorySystem::serve — native overrides
-// AND the default step() adapter — must stay value-equivalent to the
-// legacy step() path for every SchemeKind, including wrapped in
-// faults::FaultableMemory at fault rate 0.
+// index maps, block groups), and MemorySystem::serve must stay
+// value-equivalent to the ideal FlatMemory for every SchemeKind served
+// the same plan stream, including wrapped in faults::FaultableMemory at
+// fault rate 0.
 //
 // Engine API v2 additions gated here too: serve(plan, ctx) under the
-// kGroupParallel backend must be value-equivalent to step() AND
-// bit-identical to the serial backend at any executor worker count, and
-// per-read outage flags must reach ServeContext identically on every
-// path (native serve, default adapter, FaultableMemory wrapper).
+// kGroupParallel backend must match FlatMemory AND be bit-identical to
+// the serial backend at any executor worker count, and per-read outage
+// flags must reach ServeContext identically through serve() and the
+// step() convenience entry (native schemes and the FaultableMemory
+// wrapper).
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -84,6 +85,45 @@ TEST(PlanBuilder, PlanCarriesCombinedListsAndJoins) {
 
   // FlatMemory requests no grouping.
   EXPECT_FALSE(plan.grouped());
+
+  // A read + write of one variable collapses to ONE request that
+  // preserves the write, whichever access came first.
+  pram::AccessBatch read_then_write;
+  read_then_write.push_back({ProcId(0), pram::AccessOp::kRead, VarId(5), 0});
+  read_then_write.push_back({ProcId(1), pram::AccessOp::kWrite, VarId(5), 1});
+  read_then_write.push_back({ProcId(2), pram::AccessOp::kRead, VarId(9), 0});
+  const auto& merged = builder.build(read_then_write, memory);
+  ASSERT_EQ(merged.requests.size(), 2u);
+  EXPECT_EQ(merged.requests[0].var, VarId(5));
+  EXPECT_EQ(merged.requests[0].op, pram::AccessOp::kWrite);
+  EXPECT_TRUE(merged.requests[0].is_read);
+  EXPECT_EQ(merged.requests[1].var, VarId(9));
+  EXPECT_EQ(merged.requests[1].op, pram::AccessOp::kRead);
+  ASSERT_EQ(merged.writes.size(), 1u);
+  EXPECT_EQ(merged.writes[0].value, 1);
+
+  // Concurrent writers only: the lowest processor id wins.
+  pram::AccessBatch writers;
+  writers.push_back({ProcId(4), pram::AccessOp::kWrite, VarId(3), 40});
+  writers.push_back({ProcId(2), pram::AccessOp::kWrite, VarId(3), 20});
+  writers.push_back({ProcId(6), pram::AccessOp::kWrite, VarId(3), 60});
+  const auto& resolved = builder.build(writers, memory);
+  ASSERT_EQ(resolved.requests.size(), 1u);
+  EXPECT_EQ(resolved.requests[0].op, pram::AccessOp::kWrite);
+  EXPECT_FALSE(resolved.requests[0].is_read);
+  ASSERT_EQ(resolved.writes.size(), 1u);
+  EXPECT_EQ(resolved.writes[0].value, 20);
+
+  // The owning-vector form combines identically.
+  pram::AccessBatch mixed = mixed_batch();
+  mixed.push_back({ProcId(6), pram::AccessOp::kRead, VarId(5), 0});
+  const auto combined = builder.combine(mixed);
+  ASSERT_EQ(combined.reads.size(), 2u);
+  EXPECT_EQ(combined.reads[0], VarId(5));
+  EXPECT_EQ(combined.reads[1], VarId(9));
+  ASSERT_EQ(combined.writes.size(), 2u);
+  EXPECT_EQ(combined.writes[0].var, VarId(5));
+  EXPECT_EQ(combined.writes[0].value, 11);
 }
 
 TEST(PlanBuilder, GroupsMatchTargetKeysAndPartitionRequests) {
@@ -144,62 +184,60 @@ TEST(PlanBuilder, ReusedBuilderMatchesFreshBuilder) {
   }
 }
 
-// The cross-path value-equivalence gate: for EVERY SchemeKind, serving
-// random traffic through serve(plan) must produce the same read values
-// and the same committed memory as the legacy step() path — including
-// with the scheme wrapped in a FaultableMemory at fault rate 0, where
-// serve() funnels through the wrapper's default adapter.
+// The value-equivalence gate: for EVERY SchemeKind, serving random
+// traffic through serve(plan) must produce the same read values and the
+// same committed memory as the ideal FlatMemory served the same plan
+// stream — including with the scheme wrapped in a FaultableMemory at
+// fault rate 0, and under the group-parallel backend.
 class PlanServeTest : public ::testing::TestWithParam<core::SchemeKind> {};
 
-void expect_serve_matches_step(pram::MemorySystem& via_serve,
-                               pram::MemorySystem& via_step,
-                               std::uint32_t n, const char* name) {
+void expect_serve_matches_flat(pram::MemorySystem& memory, std::uint32_t n,
+                               const char* name,
+                               util::Executor* executor = nullptr) {
+  const std::uint64_t m = memory.size();
+  pram::FlatMemory flat(m);
   util::Rng rng(23);
-  pram::ServeContext ctx;
+  pram::ServeContext ctx({}, executor);
+  pram::ServeContext flat_ctx;
   core::PlanBuilder builder;
-  const std::uint64_t m = via_serve.size();
   for (int s = 0; s < 12; ++s) {
     const auto family = s % 2 == 0 ? pram::TraceFamily::kUniform
                                    : pram::TraceFamily::kPermutation;
     auto family_rng = rng.split();
     const auto batch = pram::make_batch(family, n, m, family_rng);
-    const auto& plan = builder.build(batch, via_serve);
-    std::vector<pram::Word> serve_values(plan.reads.size());
-    std::vector<pram::Word> step_values(plan.reads.size());
-    ctx.bind(serve_values);
-    via_serve.serve(plan, ctx);
-    via_step.step(plan.reads, step_values, plan.writes);
+    const auto& plan = builder.build(batch, memory);
+    std::vector<pram::Word> values(plan.reads.size());
+    std::vector<pram::Word> flat_values(plan.reads.size());
+    ctx.bind(values);
+    memory.serve(plan, ctx);
+    flat_ctx.bind(flat_values);
+    flat.serve(plan, flat_ctx);
     for (std::size_t i = 0; i < plan.reads.size(); ++i) {
-      ASSERT_EQ(serve_values[i], step_values[i])
+      ASSERT_EQ(values[i], flat_values[i])
           << name << " step " << s << " read " << i;
     }
   }
-  for (std::uint32_t v = 0; v < 2 * n; ++v) {
-    ASSERT_EQ(via_serve.peek(VarId(v)), via_step.peek(VarId(v)))
-        << name << " cell " << v;
+  for (std::uint64_t v = 0; v < m; ++v) {
+    const VarId var(static_cast<std::uint32_t>(v));
+    ASSERT_EQ(memory.peek(var), flat.peek(var)) << name << " cell " << v;
   }
 }
 
-TEST_P(PlanServeTest, ServeMatchesStepBitExact) {
+TEST_P(PlanServeTest, ServeMatchesFlatMemoryBitExact) {
   const std::uint32_t n = 16;
   const core::SchemeSpec spec{.kind = GetParam(), .n = n, .seed = 5};
-  auto via_serve = core::make_memory(spec);
-  auto via_step = core::make_memory(spec);
-  expect_serve_matches_step(*via_serve, *via_step, n,
-                            core::to_string(GetParam()));
+  auto memory = core::make_memory(spec);
+  expect_serve_matches_flat(*memory, n, core::to_string(GetParam()));
 }
 
-TEST_P(PlanServeTest, ServeMatchesStepUnderInertFaultWrapper) {
+TEST_P(PlanServeTest, ServeMatchesFlatMemoryUnderInertFaultWrapper) {
   const std::uint32_t n = 16;
   const core::SchemeSpec spec{.kind = GetParam(), .n = n, .seed = 5};
   const faults::FaultSpec inert{.seed = 77};
   ASSERT_TRUE(inert.inert());
-  faults::FaultableMemory via_serve(core::make_memory(spec), inert);
-  faults::FaultableMemory via_step(core::make_memory(spec), inert);
-  expect_serve_matches_step(via_serve, via_step, n,
-                            core::to_string(GetParam()));
-  EXPECT_EQ(via_serve.reliability().wrong_reads, 0u);
-  EXPECT_EQ(via_step.reliability().wrong_reads, 0u);
+  faults::FaultableMemory memory(core::make_memory(spec), inert);
+  expect_serve_matches_flat(memory, n, core::to_string(GetParam()));
+  EXPECT_EQ(memory.reliability().wrong_reads, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(EverySchemeKind, PlanServeTest,
@@ -224,43 +262,19 @@ struct WorkerOverrideGuard {
 // ----- Engine API v2: ServeContext + group-parallel backend ------------
 
 // For EVERY SchemeKind, the kGroupParallel backend (downgraded to serial
-// by schemes without the capability) must stay value-equivalent to the
-// legacy step() path when served through the context entry with a live
-// executor fanning groups across workers.
-TEST_P(PlanServeTest, GroupParallelServeMatchesStep) {
+// by schemes without the capability) must stay value-equivalent to
+// FlatMemory when served through the context entry with a live executor
+// fanning groups across workers.
+TEST_P(PlanServeTest, GroupParallelServeMatchesFlatMemory) {
   WorkerOverrideGuard guard;
   util::set_parallel_workers_override(4);
   const std::uint32_t n = 16;
   core::SchemeSpec spec{.kind = GetParam(), .n = n, .seed = 5};
   spec.backend = pram::ServeBackend::kGroupParallel;
-  auto via_serve = core::make_scheme(spec);
-  auto via_step = core::make_memory(spec);
-
-  util::Rng rng(23);
+  auto memory = core::make_memory(spec);
   util::Executor executor;
-  pram::ServeContext ctx({}, &executor);
-  core::PlanBuilder builder;
-  const std::uint64_t m = via_serve.memory->size();
-  for (int s = 0; s < 12; ++s) {
-    const auto family = s % 2 == 0 ? pram::TraceFamily::kUniform
-                                   : pram::TraceFamily::kPermutation;
-    auto family_rng = rng.split();
-    const auto batch = pram::make_batch(family, n, m, family_rng);
-    const auto& plan = builder.build(batch, *via_serve.memory);
-    std::vector<pram::Word> serve_values(plan.reads.size());
-    std::vector<pram::Word> step_values(plan.reads.size());
-    ctx.bind(serve_values);
-    via_serve.memory->serve(plan, ctx);
-    via_step->step(plan.reads, step_values, plan.writes);
-    for (std::size_t i = 0; i < plan.reads.size(); ++i) {
-      ASSERT_EQ(serve_values[i], step_values[i])
-          << core::to_string(GetParam()) << " step " << s << " read " << i;
-    }
-  }
-  for (std::uint32_t v = 0; v < 2 * n; ++v) {
-    ASSERT_EQ(via_serve.memory->peek(VarId(v)), via_step->peek(VarId(v)))
-        << core::to_string(GetParam()) << " cell " << v;
-  }
+  expect_serve_matches_flat(*memory, n, core::to_string(GetParam()),
+                            &executor);
 }
 
 // The schemes shipping native group-parallel serve must actually engage
@@ -310,12 +324,6 @@ void drive_backend(core::SchemeSpec spec, pram::ServeBackend backend,
     } else {
       all_flags.insert(all_flags.end(), ctx.flags().begin(),
                        ctx.flags().end());
-    }
-    // The legacy accessor must mirror the context on every path.
-    const auto legacy = memory->flagged_reads();
-    ASSERT_EQ(legacy.size(), ctx.flags().size());
-    for (std::size_t i = 0; i < legacy.size(); ++i) {
-      ASSERT_EQ(legacy[i] != 0, ctx.flags()[i] != 0);
     }
   }
   stats = memory->reliability();
@@ -385,11 +393,10 @@ INSTANTIATE_TEST_SUITE_P(
       return name + "_w" + std::to_string(std::get<1>(info.param));
     });
 
-// Regression for the flagged_reads migration: reads under erasure served
-// through serve(plan, ctx) must be flagged exactly as the step() path
-// flags them — for the native serve overrides AND through the
-// FaultableMemory wrapper (whose pre-v2 serve path computed flags
-// internally and dropped them).
+// Reads under erasure served through serve(plan, ctx) must be flagged
+// exactly as the step() convenience entry reports them through
+// flagged_reads() — for the native schemes AND through the
+// FaultableMemory wrapper.
 TEST(ServeContextFlags, ErasureFlagsIdenticalOnServeAndStepPaths) {
   const std::uint32_t n = 16;
   const faults::FaultSpec fault_spec{.seed = 99, .module_kill_rate = 0.6};

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <span>
 
 #include "core/driver.hpp"
 #include "core/mot_engine.hpp"
@@ -13,6 +14,14 @@
 
 namespace pramsim::core {
 namespace {
+
+/// Schedule one step on `engine` into a fresh result.
+majority::EngineResult run(majority::AccessEngine& engine,
+                           std::span<const majority::VarRequest> reqs) {
+  majority::EngineResult result;
+  engine.run_step_into(reqs, result);
+  return result;
+}
 
 TEST(Prom, StorageAccounting) {
   // n=64, m=4096, r=7, M=4096: entry = 7*(12+1) = 91 bits.
@@ -51,8 +60,8 @@ TEST(Prom, LookupPhaseAddsTimeNotSemantics) {
   for (std::uint32_t i = 0; i < n; ++i) {
     reqs.push_back({VarId(static_cast<std::uint32_t>(vars[i])), ProcId(i)});
   }
-  const auto rb = base.engine->run_step(reqs);
-  const auto rp = prom.engine->run_step(reqs);
+  const auto rb = run(*base.engine, reqs);
+  const auto rp = run(*prom.engine, reqs);
   // Same copies accessed (protocol semantics unchanged)...
   EXPECT_EQ(rb.accessed_mask, rp.accessed_mask);
   // ...but the lookup phase costs strictly positive extra cycles.
@@ -67,7 +76,7 @@ TEST(Prom, LookupOverheadAtLeastOneRoundTrip) {
   auto prom = make_scheme(
       {.kind = SchemeKind::kHpMot, .n = 16, .seed = 7, .prom_lookup = true});
   const std::vector<majority::VarRequest> reqs = {{VarId(9), ProcId(0)}};
-  const auto result = prom.engine->run_step(reqs);
+  const auto result = run(*prom.engine, reqs);
   const auto* engine = dynamic_cast<const MotEngine*>(prom.engine);
   ASSERT_NE(engine, nullptr);
   EXPECT_GE(engine->prom_cycles(), 2 * engine->request_hops() - 1);
@@ -105,7 +114,7 @@ TEST(Prom, WorksOnCrossbarAndLpp) {
     for (std::uint32_t i = 0; i < 16; ++i) {
       reqs.push_back({VarId(static_cast<std::uint32_t>(vars[i])), ProcId(i)});
     }
-    const auto result = inst.engine->run_step(reqs);
+    const auto result = run(*inst.engine, reqs);
     for (const auto mask : result.accessed_mask) {
       EXPECT_GE(static_cast<std::uint32_t>(__builtin_popcountll(mask)),
                 inst.c)

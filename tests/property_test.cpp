@@ -106,7 +106,8 @@ TEST_P(EngineSeedSweep, InvariantsHold) {
   for (std::uint32_t i = 0; i < n; ++i) {
     reqs.push_back({VarId(static_cast<std::uint32_t>(vars[i])), ProcId(i)});
   }
-  const auto result = inst.engine->run_step(reqs);
+  majority::EngineResult result;
+  inst.engine->run_step_into(reqs, result);
   ASSERT_EQ(result.accessed_mask.size(), reqs.size());
   std::vector<ModuleId> copies(inst.r);
   for (std::size_t i = 0; i < reqs.size(); ++i) {
@@ -121,7 +122,8 @@ TEST_P(EngineSeedSweep, InvariantsHold) {
   EXPECT_GE(result.work, static_cast<std::uint64_t>(inst.c) * reqs.size());
   EXPECT_LE(result.work, static_cast<std::uint64_t>(inst.r) * reqs.size());
   // Determinism.
-  const auto again = inst.engine->run_step(reqs);
+  majority::EngineResult again;
+  inst.engine->run_step_into(reqs, again);
   EXPECT_EQ(again.time, result.time);
   EXPECT_EQ(again.accessed_mask, result.accessed_mask);
 }

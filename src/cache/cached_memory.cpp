@@ -51,9 +51,31 @@ void CachedMemory::refresh_fault_epoch(std::uint64_t now) {
   // Hooks are monotone in the step, so a grown dead count pins the most
   // recent onset to this step (the first step that could observe it).
   if (dead > dead_modules_seen_) {
+    if (!write_through()) {
+      // First death: no dirty line may outlive it. Each value lands in
+      // the inner scheme as of the previous step, where an uncached run
+      // had already stored it; a line whose backing just died then fails
+      // classify_line's dead-backing check like any older clean line.
+      step_stats_.writebacks += write_back_dirty_lines(now - 1);
+    }
     dead_modules_seen_ = dead;
     last_death_step_ = now;
   }
+}
+
+std::uint64_t CachedMemory::write_back_dirty_lines(std::uint64_t landed) {
+  // Freed slots are never dirty (drop_line clears the bit), so a flat
+  // scan suffices.
+  std::uint64_t flushed = 0;
+  for (Line& line : lines_) {
+    if (line.dirty != 0) {
+      inner_->poke(line.var, line.value);
+      line.dirty = 0;
+      line.fill_step = landed;
+      ++flushed;
+    }
+  }
+  return flushed;
 }
 
 CachedMemory::Staleness CachedMemory::classify_line(Line& line,
@@ -134,6 +156,15 @@ void CachedMemory::apply_writes(std::span<const pram::VarWrite> writes,
                                 std::uint64_t now) {
   for (const auto& write : writes) {
     const auto it = index_.find(write.var.index());
+    if (write_through()) {
+      // No allocation: a line holding a value its (possibly dead)
+      // backing never kept would mask the loss on later hits.
+      if (it != index_.end()) {
+        drop_line(it->second);
+      }
+      queue_residual_write(write.var, write.value);
+      continue;
+    }
     if (it != index_.end()) {
       Line& line = lines_[it->second];
       line.value = write.value;
@@ -165,6 +196,12 @@ void CachedMemory::reserve_fills(std::uint64_t now) {
       // The variable gained a line after classification (this step also
       // writes it): the read stays output-only — the line already holds
       // the post-step value, which the pre-step read must not clobber.
+      continue;
+    }
+    if (write_through() &&
+        residual_write_index_.find(var.index()) != nullptr) {
+      // Written through this step: the post-step value lives only in the
+      // inner scheme, so the pre-step read must not be cached.
       continue;
     }
     const std::uint32_t slot = acquire_slot(now);
@@ -307,8 +344,8 @@ pram::MemStepCost CachedMemory::serve(const pram::AccessPlan& plan,
                                       pram::ServeContext& ctx) {
   const std::uint64_t now = advance_step_clock();
   ctx.stamp_step(now);
-  refresh_fault_epoch(now);
   begin_step();
+  refresh_fault_epoch(now);
   const auto out = ctx.read_values();
   classify_reads(plan.reads, out, now);
   apply_writes(plan.writes, now);
@@ -377,19 +414,10 @@ pram::ScrubResult CachedMemory::scrub(std::uint64_t budget) {
 void CachedMemory::snapshot_body(pram::SnapshotSink& sink) {
   // Write back every dirty line BEFORE serializing the inner scheme: a
   // dirty line is the only up-to-date copy of its value, so serializing
-  // first would checkpoint stale backing state. Freed slots are never
-  // dirty (drop_line clears the bit), so a flat scan suffices. The
-  // lines stay resident and become clean, exactly as if evicted and
-  // refilled — observable values never change.
-  std::uint64_t flushed = 0;
-  for (Line& line : lines_) {
-    if (line.dirty != 0) {
-      inner_->poke(line.var, line.value);
-      line.dirty = 0;
-      line.fill_step = steps_served();
-      ++flushed;
-    }
-  }
+  // first would checkpoint stale backing state. Dirty lines exist only
+  // while no module has died (write_through()), so every write-back lands
+  // on live storage and observable values never change.
+  const std::uint64_t flushed = write_back_dirty_lines(steps_served());
   if (flushed > 0) {
     stats_.writebacks += flushed;
     obs_count("cache.checkpoint_writebacks", flushed);

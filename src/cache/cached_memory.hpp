@@ -13,7 +13,8 @@
 //  * one variable per line; lookup via an index map, eviction via a
 //    clock hand with one reference bit (second chance);
 //  * writes allocate: the line absorbs the store (dirty) and the inner
-//    scheme sees it only when the line is written back on eviction;
+//    scheme sees it only when the line is written back on eviction —
+//    until the fault clock first sees a module death (below);
 //  * serve(plan, ctx): every plan read probes the cache, and the misses
 //    plus the step's write-back/bypass traffic form a RESIDUAL
 //    AccessPlan (assembled by a private pram::PlanAssembler, grouped by
@@ -32,7 +33,12 @@
 // invalidated: the cache holds the only up-to-date copy of a dirty
 // value (the inner scheme never saw the store), so re-serving it from
 // degraded storage would manufacture the silent wrong read the
-// trace-consistency oracle exists to catch.
+// trace-consistency oracle exists to catch. Instead, the FIRST module
+// death writes every dirty line back (at the previous step, where an
+// uncached run had already stored those values) and turns the cache
+// write-through: writes drop their variable's line and go straight to
+// the inner scheme. No dirty line then outlives a death, so losses show
+// exactly as in an uncached run and snapshot() never changes a value.
 //
 // Determinism: all cache state lives on the serving thread. The residual
 // plan hands the caller's executor through to the inner scheme, so a
@@ -159,8 +165,10 @@ class CachedMemory final : public pram::MemorySystem {
   /// copy of their values (the inner scheme never saw the store), so
   /// they are written back to the inner scheme FIRST — before the inner
   /// state is serialized — or the checkpoint would capture stale backing
-  /// state and recovery would silently lose committed writes. After the
-  /// flush the body is simply the inner memory's full nested frame;
+  /// state and recovery would silently lose committed writes. Dirty
+  /// lines exist only before the first module death, so the flush lands
+  /// on live storage and leaves every peek unchanged. After the flush
+  /// the body is simply the inner memory's full nested frame;
   /// restore rebuilds the inner scheme and restarts with a COLD cache
   /// (cache contents are a performance artifact, not committed state).
   void snapshot_body(pram::SnapshotSink& sink) override;
@@ -183,8 +191,17 @@ class CachedMemory final : public pram::MemorySystem {
   /// Reset per-step scratch (residual lists, arena, step-local tallies).
   void begin_step();
   /// Track the fault clock: bump last_death_step_ when the dead-module
-  /// count grew (O(num_modules) scan, only while hooks are installed).
+  /// count grew (O(num_modules) scan, only while hooks are installed);
+  /// the first death writes every dirty line back and turns on
+  /// write-through.
   void refresh_fault_epoch(std::uint64_t now);
+  /// True once the fault clock has seen a module death: writes then
+  /// bypass the lines, so no dirty line sits on storage that may die
+  /// under it.
+  [[nodiscard]] bool write_through() const { return dead_modules_seen_ != 0; }
+  /// Write every dirty line back to the inner scheme. The lines stay
+  /// resident, now clean, filled as of step `landed`. Returns the count.
+  std::uint64_t write_back_dirty_lines(std::uint64_t landed);
   /// Clean-line staleness under the fault clock; may refresh fill_step
   /// when the precise per-variable map check exonerates the line.
   [[nodiscard]] Staleness classify_line(Line& line, std::uint64_t now);

@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -22,23 +23,6 @@
 
 namespace pramsim::core {
 
-void TraceRunResult::merge(const TraceRunResult& other) {
-  time.merge(other.time);
-  work.merge(other.work);
-  live_after_stage1.merge(other.live_after_stage1);
-  max_queue.merge(other.max_queue);
-  steps += other.steps;
-  reliability.merge(other.reliability);
-  scrub_passes += other.scrub_passes;
-  scrub.merge(other.scrub);
-  obs.merge(other.obs);
-  if (other.breaking_fault_rate >= 0.0 &&
-      (breaking_fault_rate < 0.0 ||
-       other.breaking_fault_rate < breaking_fault_rate)) {
-    breaking_fault_rate = other.breaking_fault_rate;
-  }
-}
-
 namespace {
 
 void record_step(TraceRunResult& result, const pram::MemStepCost& cost) {
@@ -49,27 +33,64 @@ void record_step(TraceRunResult& result, const pram::MemStepCost& cost) {
   ++result.steps;
 }
 
-/// Interleaved background-scrub cadence (StressOptions scrub knobs).
+/// The driver's one MemorySystem::serve call site (timed as kServe when
+/// `phases` is set).
+pram::MemStepCost serve_plan(pram::MemorySystem& memory,
+                             const pram::AccessPlan& plan,
+                             std::vector<pram::Word>& values,
+                             pram::ServeContext& ctx,
+                             obs::PhaseSet* phases) {
+  values.resize(plan.reads.size());
+  ctx.bind(values);
+  const obs::ScopedPhase timer(phases, obs::Phase::kServe);
+  return memory.serve(plan, ctx);
+}
+
+/// A fresh machine for one run: the scheme, fault-wrapped when
+/// `fault_spec` is set, observed by `sink` when set. The crashed,
+/// recovered and reference machines of a crash run all come from here.
+std::unique_ptr<pram::MemorySystem> make_run_memory(
+    const SchemeSpec& spec, const faults::FaultSpec* fault_spec,
+    obs::Sink* sink) {
+  std::unique_ptr<pram::MemorySystem> memory = make_memory(spec);
+  if (fault_spec != nullptr) {
+    memory = std::make_unique<faults::FaultableMemory>(std::move(memory),
+                                                       *fault_spec);
+  }
+  if (sink != nullptr) {
+    memory->set_observer(sink);
+  }
+  return memory;
+}
+
+/// One served step, as the post-step hooks see it.
+struct Step {
+  std::uint64_t number = 0;  ///< 1-based: steps this loop has served
+  const pram::AccessPlan& plan;
+  pram::MemStepCost cost;
+  obs::PhaseSet* phases = nullptr;  ///< non-null iff this step is timed
+};
+
+/// Runs on the serving thread after every step, in the order added.
+using Hook = std::function<void(const Step&)>;
+
+/// Post-step hook: a budgeted background-scrub pass every `interval`
+/// served steps, tallied into `result` (0 interval or budget = off).
 struct ScrubCadence {
-  std::uint32_t interval = 0;  ///< scrub every this many served steps
+  pram::MemorySystem& memory;
+  std::uint32_t interval = 0;
   std::uint64_t budget = 0;
-  obs::Sink* sink = nullptr;  ///< optional: time passes, count repairs
+  obs::Sink* sink = nullptr;  ///< optional: counts passes and repairs
+  TraceRunResult& result;
 
-  [[nodiscard]] bool enabled() const { return interval > 0 && budget > 0; }
-
-  /// Run a pass when the cadence says so; `served` is the number of
-  /// steps completed on this memory. Accumulates into `result`.
-  void maybe_scrub(pram::MemorySystem& memory, std::size_t served,
-                   TraceRunResult& result) const {
-    if (!enabled() || served % interval != 0) {
+  void operator()(const Step& step) const {
+    if (interval == 0 || budget == 0 || step.number % interval != 0) {
       return;
     }
     ++result.scrub_passes;
     pram::ScrubResult pass;
     {
-      obs::ScopedPhase timer(
-          sink != nullptr && sink->sample(served) ? &sink->phases : nullptr,
-          obs::Phase::kScrub);
+      const obs::ScopedPhase timer(step.phases, obs::Phase::kScrub);
       pass = memory.scrub(budget);
     }
     if (sink != nullptr) {
@@ -83,104 +104,142 @@ struct ScrubCadence {
   }
 };
 
-/// Serve `trace` through the plan path. With `double_buffer` (and a trace
-/// long enough to amortize the thread), a generator thread builds plan
-/// N+1 into the spare builder slot while this thread serves plan N —
-/// batch combining/grouping fully overlaps engine stepping. Results are
-/// identical to the serial loop: plans are served strictly in trace
-/// order, and plan building never touches memory state (plan_group_of is
-/// immutable by contract). Scrub passes run on the serving thread after
-/// a step completes, so they are ordered with serving either way.
-TraceRunResult run_trace_pipelined(pram::MemorySystem& memory,
-                                   std::span<const pram::AccessBatch> trace,
-                                   bool double_buffer,
-                                   const ScrubCadence& scrub = {},
-                                   util::Executor* executor = nullptr,
-                                   obs::Sink* sink = nullptr) {
-  TraceRunResult result;
-  result.storage_factor = memory.storage_redundancy();
-  std::vector<pram::Word> values;
-  // Sampling decision for step i+1 (0 = never time), shared by the
-  // kPlanBuild and kServe timers around that step.
-  const auto timing = [sink](std::size_t step) -> obs::PhaseSet* {
-    return sink != nullptr && sink->sample(step) ? &sink->phases : nullptr;
-  };
-  // One context per run: rebound per step, executor attached when the
-  // shard level leaves workers free for intra-step (group) fan-out.
-  pram::ServeContext ctx({}, executor);
-  if (!double_buffer || trace.size() < 4) {
-    PlanBuilder builder;
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-      obs::PhaseSet* phases = timing(i + 1);
-      const pram::AccessPlan* plan;
-      {
-        obs::ScopedPhase timer(phases, obs::Phase::kPlanBuild);
-        plan = &builder.build(trace[i], memory);
-      }
-      values.resize(plan->reads.size());
-      ctx.bind(values);
-      {
-        obs::ScopedPhase timer(phases, obs::Phase::kServe);
-        record_step(result, memory.serve(*plan, ctx));
-      }
-      scrub.maybe_scrub(memory, i + 1, result);
+/// Adversarial plan source: map-crafted congestion batches, else the
+/// scheme's own adversary (e.g. the hashed baseline's preimage attack).
+/// Generated one step at a time — never pre-built or double-buffered —
+/// so a state-dependent adversary tracks placement changes serving
+/// causes (e.g. a rehashing backend redrawing its hash).
+struct Adversary {
+  const pram::MemorySystem& memory;
+  std::uint32_t n = 0;
+  util::Rng& rng;
+
+  /// Fill `batch` with the next step's reads; false once the adversary
+  /// has nothing to offer (schemes with neither map nor adversary).
+  bool next(pram::AccessBatch& batch) const {
+    const memmap::MemoryMap* map = memory.memory_map();
+    const auto vars = map != nullptr
+                          ? memmap::adversarial_batch(*map, n, rng.next())
+                          : memory.adversarial_vars(n, rng.next());
+    batch.clear();
+    for (std::uint32_t i = 0; i < vars.size(); ++i) {
+      batch.push_back({ProcId(i % n), pram::AccessOp::kRead, vars[i], 0});
     }
-    return result;
+    return !vars.empty();
+  }
+};
+
+/// The driver's one step loop: a plan source (a trace or an adversary)
+/// feeds serve_plan, then the post-step hooks run in order on the serving
+/// thread. Every run mode is a configuration of it.
+class StepLoop {
+ public:
+  StepLoop(pram::MemorySystem& memory, util::Executor* executor,
+           obs::Sink* sink)
+      : memory_(memory), sink_(sink), ctx_({}, executor) {}
+
+  StepLoop& then(Hook hook) {
+    hooks_.push_back(std::move(hook));
+    return *this;
   }
 
-  PlanBuilder slots[2];
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::size_t built = 0;   // plans fully built
-  std::size_t served = 0;  // plans fully served (their slot is free)
-  std::thread generator([&] {
+  /// Serve `trace` in order. With `double_buffer` (and a trace long
+  /// enough to amortize the thread) a generator thread builds plan N+1
+  /// while this thread serves plan N — results are identical, since plan
+  /// building never touches memory state (plan_group_of is immutable).
+  void run(std::span<const pram::AccessBatch> trace, bool double_buffer) {
+    if (double_buffer && trace.size() >= 4) {
+      run_double_buffered(trace);
+      return;
+    }
     for (std::size_t i = 0; i < trace.size(); ++i) {
-      {
-        std::unique_lock lock(mutex);
-        cv.wait(lock, [&] { return i < served + 2; });
-      }
-      {
-        // The generator thread writes ONLY the kPlanBuild row; the
-        // serving thread writes kServe/kScrub — distinct PhaseSet slots,
-        // single writer each (see obs/phase.hpp).
-        obs::ScopedPhase timer(timing(i + 1), obs::Phase::kPlanBuild);
-        slots[i % 2].build(trace[i], memory);
-      }
+      serve(build(slots_[0], trace[i], i + 1), i + 1);
+    }
+  }
+
+  /// Serve up to `steps` adversarial batches, one generated per step.
+  void run(const Adversary& adversary, std::size_t steps) {
+    for (std::size_t i = 0; i < steps && adversary.next(batch_); ++i) {
+      serve(build(slots_[0], batch_, i + 1), i + 1);
+    }
+  }
+
+ private:
+  /// The step's sampling decision, shared by every timer around it.
+  [[nodiscard]] obs::PhaseSet* timing(std::uint64_t step) const {
+    return sink_ != nullptr && sink_->sample(step) ? &sink_->phases
+                                                   : nullptr;
+  }
+
+  const pram::AccessPlan& build(PlanBuilder& slot,
+                                const pram::AccessBatch& batch,
+                                std::uint64_t step) const {
+    const obs::ScopedPhase timer(timing(step), obs::Phase::kPlanBuild);
+    return slot.build(batch, memory_);
+  }
+
+  void serve(const pram::AccessPlan& plan, std::uint64_t step) {
+    obs::PhaseSet* const phases = timing(step);
+    const Step done{step, plan,
+                    serve_plan(memory_, plan, values_, ctx_, phases), phases};
+    for (const Hook& hook : hooks_) {
+      hook(done);
+    }
+  }
+
+  void run_double_buffered(std::span<const pram::AccessBatch> trace) {
+    std::mutex mutex;
+    std::condition_variable cv;
+    std::size_t built = 0;   // plans fully built
+    std::size_t served = 0;  // plans fully served (their slot is free)
+    const auto wait_until = [&](auto ready) {
+      std::unique_lock lock(mutex);
+      cv.wait(lock, ready);
+    };
+    const auto publish = [&](std::size_t& counter, std::size_t value) {
       {
         const std::lock_guard lock(mutex);
-        built = i + 1;
+        counter = value;
       }
       cv.notify_all();
+    };
+    // The generator thread writes ONLY the kPlanBuild row; the serving
+    // thread writes kServe/kScrub — distinct PhaseSet slots, single
+    // writer each (see obs/phase.hpp).
+    std::thread generator([&] {
+      for (std::size_t i = 0; i < trace.size(); ++i) {
+        wait_until([&] { return i < served + 2; });
+        (void)build(slots_[i % 2], trace[i], i + 1);
+        publish(built, i + 1);
+      }
+    });
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      wait_until([&] { return built > i; });
+      serve(slots_[i % 2].plan(), i + 1);
+      publish(served, i + 1);
     }
-  });
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    {
-      std::unique_lock lock(mutex);
-      cv.wait(lock, [&] { return built > i; });
-    }
-    const pram::AccessPlan& plan = slots[i % 2].plan();
-    values.resize(plan.reads.size());
-    ctx.bind(values);
-    {
-      obs::ScopedPhase timer(timing(i + 1), obs::Phase::kServe);
-      record_step(result, memory.serve(plan, ctx));
-    }
-    scrub.maybe_scrub(memory, i + 1, result);
-    {
-      const std::lock_guard lock(mutex);
-      served = i + 1;
-    }
-    cv.notify_all();
+    generator.join();
   }
-  generator.join();
-  return result;
-}
+
+  pram::MemorySystem& memory_;
+  obs::Sink* sink_;
+  PlanBuilder slots_[2];
+  pram::AccessBatch batch_;  ///< the adversary's reused batch
+  std::vector<pram::Word> values_;
+  pram::ServeContext ctx_;
+  std::vector<Hook> hooks_;
+};
 
 }  // namespace
 
 TraceRunResult run_trace(pram::MemorySystem& memory,
                          std::span<const pram::AccessBatch> trace) {
-  return run_trace_pipelined(memory, trace, /*double_buffer=*/false);
+  TraceRunResult result;
+  result.storage_factor = memory.storage_redundancy();
+  StepLoop(memory, nullptr, nullptr)
+      .then([&result](const Step& step) { record_step(result, step.cost); })
+      .run(trace, /*double_buffer=*/false);
+  return result;
 }
 
 SimulationPipeline::SimulationPipeline(SchemeSpec spec)
@@ -188,9 +247,8 @@ SimulationPipeline::SimulationPipeline(SchemeSpec spec)
 
 pram::MemStepCost SimulationPipeline::run_batch(const pram::AccessBatch& batch) {
   const pram::AccessPlan& plan = builder_.build(batch, *instance_.memory);
-  std::vector<pram::Word> values(plan.reads.size());
-  pram::ServeContext ctx(values, &executor_);
-  return instance_.memory->serve(plan, ctx);
+  pram::ServeContext ctx({}, &executor_);
+  return serve_plan(*instance_.memory, plan, values_, ctx, nullptr);
 }
 
 TraceRunResult SimulationPipeline::run_stress(
@@ -205,26 +263,18 @@ TraceRunResult SimulationPipeline::run_with_faults(
 
 TraceRunResult SimulationPipeline::run_stress_impl(
     const StressOptions& options, const faults::FaultSpec* fault_spec) const {
-  // Per-run setup hoisted out of the shard loop (it used to be re-derived
-  // inside every trial): the family list — including the
-  // exclusive_trace_families() default — is resolved exactly once;
-  // per-shard setup below only shifts seeds.
   const std::vector<pram::TraceFamily>& families =
       options.families.empty() ? pram::exclusive_trace_families()
                                : options.families;
-  const std::uint32_t n = spec_.n;
-  const std::uint64_t m = instance_.m;
   const std::size_t trials = std::max<std::size_t>(options.trials, 1);
   // Within-trial sharding: every (trial, family) pair — plus each trial's
   // adversarial phase — is one shard, so trials = 1 workloads spread over
   // the host's threads too.
   const std::size_t stages =
       families.size() + (options.include_map_adversarial ? 1 : 0);
-  // Overlap plan building with serving — and hand shards an executor
-  // for intra-step group fan-out — only when the shard level is not
-  // already saturating the host's cores: a generator thread (or a group
-  // worker pool) per shard on top of a full parallel_for would just
-  // oversubscribe.
+  // Double-buffer plans and hand shards an executor for group fan-out
+  // only when the shard level leaves the host's cores idle: a thread or
+  // pool per shard on top of a full parallel_for would oversubscribe.
   const bool shard_level_serial =
       util::parallel_workers(trials * stages) == 1;
   const bool double_buffer = options.double_buffer && shard_level_serial;
@@ -233,92 +283,46 @@ TraceRunResult SimulationPipeline::run_stress_impl(
   util::parallel_for(0, trials * stages, [&](std::size_t s) {
     const std::size_t trial = s / stages;
     const std::size_t stage = s % stages;
+    // Shard-local sink, folded into the merged result in shard order.
+    obs::Sink sink(options.obs.value_or(obs::SinkOptions{}));
+    obs::Sink* obs_sink =
+        obs::kEnabled && options.obs.has_value() ? &sink : nullptr;
     // Fresh memory per shard (same scheme seed: the map under test is
     // fixed; the traffic stream derives from (seed, trial, family)).
     // Under fault injection every shard of a trial shares the trial's
     // fault seed: one machine's static fault set, observed per family.
-    auto instance = make_scheme(spec_);
-    std::unique_ptr<pram::MemorySystem> memory = std::move(instance.memory);
+    faults::FaultSpec trial_faults;
     if (fault_spec != nullptr) {
-      faults::FaultSpec trial_faults = *fault_spec;
+      trial_faults = *fault_spec;
       trial_faults.seed += trial * 0xC2B2AE3D27D4EB4FULL;
-      memory = std::make_unique<faults::FaultableMemory>(std::move(memory),
-                                                         trial_faults);
     }
-    util::Rng rng(options.seed + trial * 0x9E3779B97F4A7C15ULL);
-    util::Executor executor;
+    const auto memory = make_run_memory(
+        spec_, fault_spec != nullptr ? &trial_faults : nullptr, obs_sink);
     TraceRunResult& shard = shards[s];
-    // Shard-local sink, folded into the merged result in shard order
-    // below. Kept outside `shard` while serving: the family stage
-    // assigns the whole TraceRunResult at once.
-    obs::Sink sink(options.obs.value_or(obs::SinkOptions{}));
-    obs::Sink* obs_sink =
-        obs::kEnabled && options.obs.has_value() ? &sink : nullptr;
-    if (obs_sink != nullptr) {
-      memory->set_observer(obs_sink);
+    shard.storage_factor = memory->storage_redundancy();
+
+    util::Executor executor;
+    StepLoop loop(*memory, shard_level_serial ? &executor : nullptr,
+                  obs_sink);
+    loop.then([&shard](const Step& step) { record_step(shard, step.cost); })
+        .then(ScrubCadence{*memory, options.scrub_interval,
+                           options.scrub_budget, obs_sink, shard});
+    // Reach this stage's stream: family f uses the (f+1)-th split of the
+    // trial generator, and the adversarial stage draws from the trial
+    // generator itself once every family has split off.
+    util::Rng rng(options.seed + trial * 0x9E3779B97F4A7C15ULL);
+    for (std::size_t f = 0; f < stage; ++f) {
+      (void)rng.split();
     }
     if (stage < families.size()) {
-      // Reach this family's stream: family f uses the (f+1)-th split of
-      // the trial generator, exactly as the sequential loop drew them.
-      for (std::size_t f = 0; f < stage; ++f) {
-        (void)rng.split();
-      }
       auto family_rng = rng.split();
-      const auto trace = pram::make_trace(families[stage], n, m,
+      const auto trace = pram::make_trace(families[stage], spec_.n,
+                                          instance_.m,
                                           options.steps_per_family,
                                           family_rng, options.trace);
-      shard = run_trace_pipelined(
-          *memory, trace, double_buffer,
-          ScrubCadence{options.scrub_interval, options.scrub_budget,
-                       obs_sink},
-          shard_level_serial ? &executor : nullptr, obs_sink);
+      loop.run(trace, double_buffer);
     } else {
-      for (std::size_t f = 0; f < families.size(); ++f) {
-        (void)rng.split();
-      }
-      // Map-crafted congestion batches when the scheme exposes its map;
-      // otherwise the scheme's own adversary (e.g. the hashed baseline's
-      // known-hash preimage attack). Schemes with neither are skipped.
-      // Generation stays interleaved with serving — never pre-built or
-      // double-buffered — so a state-dependent adversary (virtual
-      // adversarial_vars) keeps tracking any placement change serving
-      // causes (e.g. a rehashing backend redrawing its hash).
-      const memmap::MemoryMap* map = memory->memory_map();
-      shard.storage_factor = memory->storage_redundancy();
-      const ScrubCadence scrub{options.scrub_interval, options.scrub_budget,
-                               obs_sink};
-      PlanBuilder builder;
-      std::vector<pram::Word> values;
-      pram::ServeContext ctx({}, shard_level_serial ? &executor : nullptr);
-      for (std::size_t step = 0; step < options.steps_per_family; ++step) {
-        const auto vars =
-            map != nullptr ? memmap::adversarial_batch(*map, n, rng.next())
-                           : memory->adversarial_vars(n, rng.next());
-        if (vars.empty()) {
-          break;
-        }
-        pram::AccessBatch batch;
-        batch.reserve(vars.size());
-        for (std::uint32_t i = 0; i < vars.size(); ++i) {
-          batch.push_back({ProcId(i % n), pram::AccessOp::kRead, vars[i], 0});
-        }
-        obs::PhaseSet* phases = obs_sink != nullptr &&
-                                        obs_sink->sample(step + 1)
-                                    ? &obs_sink->phases
-                                    : nullptr;
-        const pram::AccessPlan* plan;
-        {
-          obs::ScopedPhase timer(phases, obs::Phase::kPlanBuild);
-          plan = &builder.build(batch, *memory);
-        }
-        values.resize(plan->reads.size());
-        ctx.bind(values);
-        {
-          obs::ScopedPhase timer(phases, obs::Phase::kServe);
-          record_step(shard, memory->serve(*plan, ctx));
-        }
-        scrub.maybe_scrub(*memory, step + 1, shard);
-      }
+      loop.run(Adversary{*memory, spec_.n, rng}, options.steps_per_family);
     }
     shard.reliability = memory->reliability();
     if (obs_sink != nullptr) {
@@ -343,53 +347,6 @@ TraceRunResult SimulationPipeline::run_stress_impl(
   return merged;
 }
 
-FaultSweepResult SimulationPipeline::run_fault_sweep(
-    const FaultSweepOptions& options) const {
-  FaultSweepResult result;
-  result.total.storage_factor = instance_.memory->storage_redundancy();
-  for (const double rate : options.rates) {
-    const auto level_spec = faults::at_rate(options.proto, rate);
-    FaultLevelResult level;
-    level.rate = rate;
-    level.run = run_with_faults(level_spec, options.stress);
-    if (level.run.reliability.wrong_reads > 0) {
-      level.run.breaking_fault_rate = rate;
-    }
-    if (result.first_uncorrectable_rate < 0.0 &&
-        level.run.reliability.uncorrectable > 0) {
-      result.first_uncorrectable_rate = rate;
-    }
-    if (options.measure_recovery && !level_spec.inert()) {
-      level.recovery_steps =
-          run_recovery(level_spec, options.recovery).recovery_steps;
-      if (level.recovery_steps > result.worst_recovery_steps) {
-        result.worst_recovery_steps = level.recovery_steps;
-      }
-    }
-    result.total.merge(level.run);
-    result.levels.push_back(std::move(level));
-  }
-  return result;
-}
-
-const char* to_string(KillPoint point) {
-  switch (point) {
-    case KillPoint::kCleanShutdown: return "clean_shutdown";
-    case KillPoint::kMidWalAppend: return "mid_wal_append";
-    case KillPoint::kAfterWalFlush: return "after_wal_flush";
-    case KillPoint::kMidCheckpoint: return "mid_checkpoint";
-    case KillPoint::kAfterCheckpointPreTruncate:
-      return "after_checkpoint_pre_truncate";
-  }
-  return "unknown";
-}
-
-std::vector<KillPoint> all_kill_points() {
-  return {KillPoint::kCleanShutdown, KillPoint::kMidWalAppend,
-          KillPoint::kAfterWalFlush, KillPoint::kMidCheckpoint,
-          KillPoint::kAfterCheckpointPreTruncate};
-}
-
 CrashRecoveryResult SimulationPipeline::run_crash_recovery(
     const CrashRecoveryOptions& options,
     const faults::FaultSpec* fault_spec) const {
@@ -401,9 +358,8 @@ CrashRecoveryResult SimulationPipeline::run_crash_recovery(
   fs::create_directories(dur.directory);
   const std::string wal_path =
       (fs::path(dur.directory) / "wal.log").string();
-  // A crash run owns its directory: stale files from a previous run must
-  // not leak into this run's recovery.
-  fs::remove(wal_path);
+  // A crash run owns its directory: stale checkpoints from a previous run
+  // must not leak into this run's recovery (the Wal truncates wal.log).
   for (const auto& entry : fs::directory_iterator(dur.directory)) {
     if (entry.path().filename().string().rfind("ckpt-", 0) == 0) {
       fs::remove(entry.path());
@@ -428,38 +384,16 @@ CrashRecoveryResult SimulationPipeline::run_crash_recovery(
   obs::Sink sink(options.obs.value_or(obs::SinkOptions{}));
   obs::Sink* obs_sink =
       obs::kEnabled && options.obs.has_value() ? &sink : nullptr;
-
-  // The crashed run, the recovered machine, and the reference run must
-  // be three instances of the SAME configuration (scheme seed and fault
-  // seed included), or restore/compare would be meaningless.
-  const auto build_memory = [&]() -> std::unique_ptr<pram::MemorySystem> {
-    auto instance = make_scheme(spec_);
-    std::unique_ptr<pram::MemorySystem> memory =
-        std::move(instance.memory);
-    if (fault_spec != nullptr) {
-      memory = std::make_unique<faults::FaultableMemory>(std::move(memory),
-                                                         *fault_spec);
-    }
-    return memory;
-  };
+  util::Executor executor;
 
   durability::Wal::RecordSpan torn_span;
   {
-    auto memory = build_memory();
-    if (obs_sink != nullptr) {
-      memory->set_observer(obs_sink);
-    }
-    // Fault-onset acknowledgements: the durable run logs each realized
-    // onset once the step clock crosses it, so the post-crash log shows
-    // which failures the run had already acknowledged.
-    std::vector<std::pair<std::uint64_t, std::uint32_t>> onsets;
+    const auto memory = make_run_memory(spec_, fault_spec, obs_sink);
+    // Fault-onset acknowledgements: the log shows each realized onset
+    // once the step clock crosses it.
+    std::span<const std::pair<std::uint64_t, std::uint32_t>> onsets;
     if (fault_spec != nullptr) {
-      const auto& model =
-          static_cast<faults::FaultableMemory*>(memory.get())->model();
-      for (const auto module : model.dead_modules()) {
-        onsets.emplace_back(model.module_onset(module), module.index());
-      }
-      std::sort(onsets.begin(), onsets.end());
+      onsets = static_cast<faults::FaultableMemory&>(*memory).onsets();
     }
     std::size_t onset_cursor = 0;
 
@@ -467,54 +401,42 @@ CrashRecoveryResult SimulationPipeline::run_crash_recovery(
     durability::Checkpointer checkpointer(
         {dur.directory, dur.keep_checkpoints}, obs_sink);
 
-    PlanBuilder builder;
-    std::vector<pram::Word> values;
-    util::Executor executor;
-    pram::ServeContext ctx({}, &executor);
-    for (std::uint64_t step = 1; step <= kill; ++step) {
-      const pram::AccessPlan* plan;
-      plan = &builder.build(trace[step - 1], *memory);
-      values.resize(plan->reads.size());
-      ctx.bind(values);
-      (void)memory->serve(*plan, ctx);
-      while (onset_cursor < onsets.size() &&
-             onsets[onset_cursor].first <= step) {
-        wal.append_onset(step, onsets[onset_cursor].second);
-        ++onset_cursor;
-      }
-      wal.append_step(step, plan->writes);
-      if (step == kill) {
-        break;
-      }
-      wal.maybe_flush(step);
-      if (dur.checkpoint_interval != 0 &&
-          step % dur.checkpoint_interval == 0) {
-        wal.flush();
-        checkpointer.write(*memory, step);
-        wal.truncate_through(step);
-      }
-    }
+    // Served through the kill step; the crash hook commits every step
+    // and runs the group-commit/checkpoint protocol up to (not at) it.
+    StepLoop(*memory, &executor, obs_sink)
+        .then([&](const Step& step) {
+          while (onset_cursor < onsets.size() &&
+                 onsets[onset_cursor].first <= step.number) {
+            wal.append_onset(step.number, onsets[onset_cursor].second);
+            ++onset_cursor;
+          }
+          wal.append_step(step.number, step.plan.writes);
+          if (step.number == kill) {
+            return;
+          }
+          wal.maybe_flush(step.number);
+          if (dur.checkpoint_interval != 0 &&
+              step.number % dur.checkpoint_interval == 0) {
+            wal.flush();
+            checkpointer.write(*memory, step.number);
+            wal.truncate_through(step.number);
+          }
+        })
+        .run(std::span(trace).first(kill), /*double_buffer=*/false);
 
+    // Every kill point (see KillPoint) has the WAL durable through it.
+    wal.flush();
     switch (options.kill_point) {
       case KillPoint::kCleanShutdown:
-        wal.flush();
         checkpointer.write(*memory, kill);
         wal.truncate_through(kill);
         break;
-      case KillPoint::kMidWalAppend:
-        // Flush everything, then (post-scope) cut the file inside the
-        // final record's byte span: the classic torn final write.
-        wal.flush();
+      case KillPoint::kMidWalAppend:  // cut post-scope, inside the record
         torn_span = wal.last_record();
         break;
       case KillPoint::kAfterWalFlush:
-        wal.flush();
         break;
-      case KillPoint::kMidCheckpoint: {
-        // The WAL is durable through the kill step; the checkpoint that
-        // was being written when the process died is a torn prefix on
-        // disk. Recovery must reject it and fall back.
-        wal.flush();
+      case KillPoint::kMidCheckpoint: {  // a torn checkpoint prefix
         const std::vector<std::uint8_t> image =
             durability::Checkpointer::file_image(*memory, kill);
         const std::size_t cut = 1 + kill_rng.below(image.size() - 1);
@@ -527,16 +449,10 @@ CrashRecoveryResult SimulationPipeline::run_crash_recovery(
         break;
       }
       case KillPoint::kAfterCheckpointPreTruncate:
-        // Checkpoint durable, truncate never ran: the log still holds
-        // records the checkpoint covers; replay must filter them.
-        wal.flush();
         checkpointer.write(*memory, kill);
         break;
     }
     result.checkpoint_bytes = checkpointer.last_bytes();
-    if (obs_sink != nullptr) {
-      memory->set_observer(nullptr);
-    }
   }  // the crash: Wal closes here WITHOUT flushing any buffered tail
 
   if (options.kill_point == KillPoint::kMidWalAppend &&
@@ -547,10 +463,7 @@ CrashRecoveryResult SimulationPipeline::run_crash_recovery(
   result.wal_bytes = fs::exists(wal_path) ? fs::file_size(wal_path) : 0;
 
   // Restart: a fresh machine recovers from what survived on disk.
-  auto recovered = build_memory();
-  if (obs_sink != nullptr) {
-    recovered->set_observer(obs_sink);
-  }
+  const auto recovered = make_run_memory(spec_, fault_spec, obs_sink);
   util::Stopwatch timer;
   result.recovery = durability::recover(*recovered, wal_path,
                                         dur.directory, dur.scrub_budget,
@@ -561,36 +474,27 @@ CrashRecoveryResult SimulationPipeline::run_crash_recovery(
     recovered->set_observer(nullptr);
   }
 
-  // Reference: an uninterrupted run of the same trace, stopped at the
-  // durable horizon. Its committed-write trace doubles as the oracle for
-  // the zero-lost-durable-writes check.
-  auto reference = build_memory();
+  // Reference: an uninterrupted, unobserved run of the same trace,
+  // stopped at the durable horizon. Its committed-write trace doubles as
+  // the oracle for the zero-lost-durable-writes check.
+  const auto reference = make_run_memory(spec_, fault_spec, nullptr);
   faults::TraceChecker committed;
-  {
-    PlanBuilder builder;
-    std::vector<pram::Word> values;
-    util::Executor executor;
-    pram::ServeContext ctx({}, &executor);
-    for (std::uint64_t step = 1; step <= result.durable_step; ++step) {
-      const pram::AccessPlan* plan =
-          &builder.build(trace[step - 1], *reference);
-      values.resize(plan->reads.size());
-      ctx.bind(values);
-      (void)reference->serve(*plan, ctx);
-      for (const pram::VarWrite& write : plan->writes) {
-        committed.record_write(write.var, write.value);
-      }
-    }
-  }
+  StepLoop(*reference, &executor, nullptr)
+      .then([&committed](const Step& step) {
+        for (const pram::VarWrite& write : step.plan.writes) {
+          committed.record_write(write.var, write.value);
+        }
+      })
+      .run(std::span(trace).first(result.durable_step),
+           /*double_buffer=*/false);
 
   result.bit_exact = true;
-  const std::uint64_t m = reference->size();
-  for (std::uint64_t v = 0; v < m; ++v) {
+  result.vars_checked = reference->size();
+  for (std::uint64_t v = 0; v < result.vars_checked; ++v) {
     const VarId var(static_cast<std::uint32_t>(v));
     if (reference->peek(var) != recovered->peek(var)) {
       result.bit_exact = false;
     }
-    ++result.vars_checked;
   }
   // Under fault injection peek is fault-aware (a dead module's loss is
   // visible in BOTH instances), so the ideal-value comparison is only
@@ -615,105 +519,74 @@ RecoveryResult SimulationPipeline::run_recovery(
     const faults::FaultSpec& fault_spec,
     const RecoveryOptions& options) const {
   RecoveryResult result;
-  // One fresh machine, wrapped for injection + oracle checking; the whole
-  // probe is served on this thread so the trajectory is bit-identical at
-  // any worker-thread count.
-  auto instance = make_scheme(spec_);
-  const std::uint64_t m = instance.m;
-  auto memory = std::make_unique<faults::FaultableMemory>(
-      std::move(instance.memory), fault_spec);
-  result.onset_step =
-      static_cast<std::int64_t>(memory->model().first_onset());
-
   obs::Sink* obs_sink = nullptr;
   if (obs::kEnabled && options.obs.has_value()) {
     result.obs = obs::Sink(*options.obs);
     obs_sink = &result.obs;
-    memory->set_observer(obs_sink);
   }
+  // One fresh machine, wrapped for injection + oracle checking; the whole
+  // probe is served on this thread so the trajectory is bit-identical at
+  // any worker-thread count.
+  const auto memory = make_run_memory(spec_, &fault_spec, obs_sink);
+  result.onset_step = static_cast<std::int64_t>(
+      static_cast<faults::FaultableMemory&>(*memory).model().first_onset());
 
   util::Rng rng(options.seed);
-  const auto trace = pram::make_trace(options.family, spec_.n, m,
+  const auto trace = pram::make_trace(options.family, spec_.n, instance_.m,
                                       options.steps, rng, options.trace);
-  const ScrubCadence scrub{options.scrub_interval, options.scrub_budget,
-                           obs_sink};
 
-  PlanBuilder builder;
-  std::vector<pram::Word> values;
-  util::Executor executor;
-  pram::ServeContext ctx({}, &executor);
+  // Scrub between steps, then sample, so a step's point reflects the
+  // reads it served and the repairs that followed it. The first
+  // over-threshold step is the injury; recovery is the first step from
+  // which the degraded rate STAYS at or below the threshold.
+  TraceRunResult scrubbed;
   pram::ReliabilityStats prev;
+  std::int64_t last_bad = -1;
   result.trajectory.reserve(trace.size());
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    obs::PhaseSet* phases =
-        obs_sink != nullptr && obs_sink->sample(i + 1) ? &obs_sink->phases
-                                                       : nullptr;
-    const pram::AccessPlan* plan;
-    {
-      obs::ScopedPhase timer(phases, obs::Phase::kPlanBuild);
-      plan = &builder.build(trace[i], *memory);
-    }
-    values.resize(plan->reads.size());
-    ctx.bind(values);
-    {
-      obs::ScopedPhase timer(phases, obs::Phase::kServe);
-      (void)memory->serve(*plan, ctx);
-    }
-    // Scrub AFTER sampling? No: scrub between steps, then sample, so a
-    // step's point reflects the reads it served and the repairs that
-    // followed it — the next step is the first to benefit.
-    TraceRunResult scrub_sink;
-    scrub.maybe_scrub(*memory, i + 1, scrub_sink);
-    result.scrub.merge(scrub_sink.scrub);
-
-    const pram::ReliabilityStats now = memory->reliability();
-    RecoveryPoint point;
-    point.step = i + 1;
-    point.reads = now.reads_served - prev.reads_served;
-    point.masked = now.faults_masked - prev.faults_masked;
-    point.uncorrectable = now.uncorrectable - prev.uncorrectable;
-    point.wrong = now.wrong_reads - prev.wrong_reads;
-    point.repaired = now.units_repaired - prev.units_repaired;
-    point.relocated = now.units_relocated - prev.units_relocated;
-    point.degraded_rate =
-        point.reads > 0 ? static_cast<double>(point.masked +
-                                              point.uncorrectable) /
-                              static_cast<double>(point.reads)
-                        : 0.0;
-    prev = now;
-    result.trajectory.push_back(point);
-  }
+  util::Executor executor;
+  StepLoop(*memory, &executor, obs_sink)
+      .then(ScrubCadence{*memory, options.scrub_interval,
+                         options.scrub_budget, obs_sink, scrubbed})
+      .then([&](const Step& step) {
+        const pram::ReliabilityStats now = memory->reliability();
+        RecoveryPoint& point = result.trajectory.emplace_back(RecoveryPoint{
+            .step = step.number,
+            .reads = now.reads_served - prev.reads_served,
+            .masked = now.faults_masked - prev.faults_masked,
+            .uncorrectable = now.uncorrectable - prev.uncorrectable,
+            .wrong = now.wrong_reads - prev.wrong_reads,
+            .repaired = now.units_repaired - prev.units_repaired,
+            .relocated = now.units_relocated - prev.units_relocated});
+        prev = now;
+        if (point.reads > 0) {
+          point.degraded_rate =
+              static_cast<double>(point.masked + point.uncorrectable) /
+              static_cast<double>(point.reads);
+        }
+        result.peak_degraded_rate =
+            std::max(result.peak_degraded_rate, point.degraded_rate);
+        if (point.degraded_rate > options.recovery_threshold) {
+          if (result.first_degraded_step < 0) {
+            result.first_degraded_step = static_cast<std::int64_t>(step.number);
+          }
+          last_bad = static_cast<std::int64_t>(step.number);
+        }
+      })
+      .run(trace, /*double_buffer=*/false);
+  result.scrub = scrubbed.scrub;
   result.reliability = memory->reliability();
   if (obs_sink != nullptr) {
     memory->set_observer(nullptr);
     result.obs.journal.flush();
   }
 
-  // Read the recovery time off the trajectory: the first over-threshold
-  // step is the injury, and recovery is the first step from which the
-  // degraded rate STAYS at or below the threshold.
-  std::int64_t last_bad = -1;
-  for (const auto& point : result.trajectory) {
-    result.peak_degraded_rate =
-        std::max(result.peak_degraded_rate, point.degraded_rate);
-    if (point.degraded_rate > options.recovery_threshold) {
-      if (result.first_degraded_step < 0) {
-        result.first_degraded_step = static_cast<std::int64_t>(point.step);
-      }
-      last_bad = static_cast<std::int64_t>(point.step);
-    }
-  }
   if (!result.trajectory.empty()) {
     result.final_degraded_rate = result.trajectory.back().degraded_rate;
   }
-  if (result.first_degraded_step >= 0) {
-    const auto last_step =
-        static_cast<std::int64_t>(result.trajectory.back().step);
-    if (last_bad < last_step) {
-      result.recovered_step = last_bad + 1;
-      result.recovery_steps =
-          result.recovered_step - result.first_degraded_step;
-    }
+  if (result.first_degraded_step >= 0 &&
+      last_bad < static_cast<std::int64_t>(result.trajectory.size())) {
+    result.recovered_step = last_bad + 1;
+    result.recovery_steps = result.recovered_step - result.first_degraded_step;
   }
   return result;
 }

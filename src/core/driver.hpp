@@ -9,7 +9,9 @@
 // then merged in deterministic (trial, family, step) order so results are
 // bit-identical at any worker-thread count. This is the measurement loop
 // behind every cross-scheme bench; no caller builds a per-scheme loop by
-// hand.
+// hand. Inside, every run mode is one step loop: a plan source (a trace
+// or an adversary) plus ordered post-step hooks (scrub cadence, WAL and
+// checkpoints, oracle, reliability sampling) — see docs/architecture.md.
 #pragma once
 
 #include <cstdint>
@@ -354,8 +356,10 @@ class SimulationPipeline {
 
   SchemeSpec spec_;
   SchemeInstance instance_;
-  /// Plan slot for one-shot run_batch serving on the prototype.
+  /// Plan slot and read-value buffer for one-shot run_batch serving on
+  /// the prototype.
   PlanBuilder builder_;
+  std::vector<pram::Word> values_;
   /// Group-fan-out workers for one-shot serving on the prototype (the
   /// stress/recovery paths keep per-shard executors of their own).
   util::Executor executor_;

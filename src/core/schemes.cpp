@@ -68,6 +68,50 @@ void install_engine(SchemeInstance& inst,
   inst.memory = std::move(memory);
 }
 
+/// The replicated kinds' map: access threshold c, r = 2c - 1 copies per
+/// variable, placed by a seeded HashedMap over the instance's modules.
+void install_replicated_map(SchemeInstance& inst, std::uint32_t c,
+                            std::uint64_t seed) {
+  inst.c = c;
+  inst.r = 2 * c - 1;
+  PRAMSIM_ASSERT_MSG(inst.r <= inst.n_modules,
+                     "a replicated map needs r = 2c - 1 <= M modules");
+  inst.map = std::make_shared<memmap::HashedMap>(inst.m, inst.n_modules,
+                                                 inst.r, seed);
+}
+
+/// The majority protocol's scheduler knobs, shared by every MPC/BDN kind.
+majority::SchedulerConfig scheduler_config(const SchemeInstance& inst,
+                                           const SchemeSpec& spec) {
+  majority::SchedulerConfig cfg;
+  cfg.c = inst.c;
+  cfg.cluster_size = inst.r;
+  cfg.n_processors = spec.n;
+  cfg.stage1_turns = spec.stage1_turns;
+  cfg.all_at_once = spec.all_at_once;
+  return cfg;
+}
+
+/// The 2DMOT kinds: a MotEngine of `scheme`'s geometry over the
+/// instance's map, installed with its network bookkeeping.
+void install_mot_engine(SchemeInstance& inst, const SchemeSpec& spec,
+                        MotScheme scheme) {
+  MotEngineConfig cfg;
+  cfg.scheme = scheme;
+  cfg.n_processors = spec.n;
+  cfg.c = inst.c;
+  cfg.cluster_size = inst.r;
+  cfg.stage1_turns = spec.stage1_turns;
+  cfg.lca_turnaround = spec.lca_turnaround;  // kHpLeaves paths only
+  cfg.prom_lookup = spec.prom_lookup;
+  auto engine = std::make_unique<MotEngine>(inst.map, cfg);
+  inst.switches = net::summarize(engine->shape()).switches;
+  inst.request_hops = engine->request_hops();
+  install_engine(inst, std::move(engine));
+  inst.model = "DMBDN (2DMOT)";
+  inst.time_unit = "cycles";
+}
+
 }  // namespace
 
 SchemeInstance make_scheme(const SchemeSpec& spec) {
@@ -94,26 +138,12 @@ SchemeInstance make_scheme(const SchemeSpec& spec) {
                          "module count exceeds variables; raise k or min_vars");
       inst.n_modules = static_cast<std::uint32_t>(M);
       inst.eps_effective = effective_eps(spec.n, inst.n_modules);
-      inst.c = memmap::lemma2_min_c(spec.b, spec.k,
-                                    std::max(inst.eps_effective, 0.25));
-      inst.r = 2 * inst.c - 1;
-      auto map = std::make_shared<memmap::HashedMap>(inst.m, inst.n_modules,
-                                                     inst.r, spec.seed);
-      MotEngineConfig cfg;
-      cfg.scheme = MotScheme::kHpLeaves;
-      cfg.n_processors = spec.n;
-      cfg.c = inst.c;
-      cfg.cluster_size = inst.r;
-      cfg.stage1_turns = spec.stage1_turns;
-      cfg.lca_turnaround = spec.lca_turnaround;
-      cfg.prom_lookup = spec.prom_lookup;
-      auto engine = std::make_unique<MotEngine>(map, cfg);
-      inst.switches = net::summarize(engine->shape()).switches;
-      inst.request_hops = engine->request_hops();
-      inst.map = std::move(map);
-      install_engine(inst, std::move(engine));
-      inst.model = "DMBDN (2DMOT)";
-      inst.time_unit = "cycles";
+      install_replicated_map(
+          inst,
+          memmap::lemma2_min_c(spec.b, spec.k,
+                               std::max(inst.eps_effective, 0.25)),
+          spec.seed);
+      install_mot_engine(inst, spec, MotScheme::kHpLeaves);
       inst.notes = "Theorem 3";
       break;
     }
@@ -126,25 +156,12 @@ SchemeInstance make_scheme(const SchemeSpec& spec) {
       PRAMSIM_ASSERT(util::is_pow2(M));
       inst.n_modules = static_cast<std::uint32_t>(M);
       inst.eps_effective = effective_eps(spec.n, inst.n_modules);
-      inst.c = memmap::lemma2_min_c(spec.b, spec.k,
-                                    std::max(inst.eps_effective, 0.25));
-      inst.r = 2 * inst.c - 1;
-      auto map = std::make_shared<memmap::HashedMap>(inst.m, inst.n_modules,
-                                                     inst.r, spec.seed);
-      MotEngineConfig cfg;
-      cfg.scheme = MotScheme::kCrossbar;
-      cfg.n_processors = spec.n;
-      cfg.c = inst.c;
-      cfg.cluster_size = inst.r;
-      cfg.stage1_turns = spec.stage1_turns;
-      cfg.prom_lookup = spec.prom_lookup;
-      auto engine = std::make_unique<MotEngine>(map, cfg);
-      inst.switches = net::summarize(engine->shape()).switches;
-      inst.request_hops = engine->request_hops();
-      inst.map = std::move(map);
-      install_engine(inst, std::move(engine));
-      inst.model = "DMBDN (2DMOT)";
-      inst.time_unit = "cycles";
+      install_replicated_map(
+          inst,
+          memmap::lemma2_min_c(spec.b, spec.k,
+                               std::max(inst.eps_effective, 0.25)),
+          spec.seed);
+      install_mot_engine(inst, spec, MotScheme::kCrossbar);
       inst.notes = "Fig. 7";
       break;
     }
@@ -152,26 +169,8 @@ SchemeInstance make_scheme(const SchemeSpec& spec) {
       PRAMSIM_ASSERT(util::is_pow2(spec.n) && spec.n >= 4);
       inst.n_modules = spec.n;  // one module per root processor
       inst.eps_effective = 0.0;
-      inst.c = memmap::uw_c(inst.m, spec.b);
-      inst.r = 2 * inst.c - 1;
-      PRAMSIM_ASSERT_MSG(inst.r <= inst.n_modules,
-                         "log-redundancy map needs r <= n modules");
-      auto map = std::make_shared<memmap::HashedMap>(inst.m, inst.n_modules,
-                                                     inst.r, spec.seed);
-      MotEngineConfig cfg;
-      cfg.scheme = MotScheme::kLppRoots;
-      cfg.n_processors = spec.n;
-      cfg.c = inst.c;
-      cfg.cluster_size = inst.r;
-      cfg.stage1_turns = spec.stage1_turns;
-      cfg.prom_lookup = spec.prom_lookup;
-      auto engine = std::make_unique<MotEngine>(map, cfg);
-      inst.switches = net::summarize(engine->shape()).switches;
-      inst.request_hops = engine->request_hops();
-      inst.map = std::move(map);
-      install_engine(inst, std::move(engine));
-      inst.model = "DMBDN (2DMOT)";
-      inst.time_unit = "cycles";
+      install_replicated_map(inst, memmap::uw_c(inst.m, spec.b), spec.seed);
+      install_mot_engine(inst, spec, MotScheme::kLppRoots);
       inst.notes = "LPP'90";
       break;
     }
@@ -182,19 +181,10 @@ SchemeInstance make_scheme(const SchemeSpec& spec) {
           inst.m);
       inst.n_modules = static_cast<std::uint32_t>(M64);
       inst.eps_effective = effective_eps(spec.n, inst.n_modules);
-      inst.c = memmap::lemma2_min_c(spec.b, spec.k, spec.eps);
-      inst.r = 2 * inst.c - 1;
-      auto map = std::make_shared<memmap::HashedMap>(inst.m, inst.n_modules,
-                                                     inst.r, spec.seed);
-      majority::SchedulerConfig cfg;
-      cfg.c = inst.c;
-      cfg.cluster_size = inst.r;
-      cfg.n_processors = spec.n;
-      cfg.stage1_turns = spec.stage1_turns;
-      cfg.all_at_once = spec.all_at_once;
-      install_engine(inst,
-                     std::make_unique<majority::DmmpcEngine>(map, cfg));
-      inst.map = std::move(map);
+      install_replicated_map(
+          inst, memmap::lemma2_min_c(spec.b, spec.k, spec.eps), spec.seed);
+      install_engine(inst, std::make_unique<majority::DmmpcEngine>(
+                               inst.map, scheduler_config(inst, spec)));
       inst.model = "DMMPC";
       inst.notes = "Theorem 2";
       break;
@@ -202,21 +192,9 @@ SchemeInstance make_scheme(const SchemeSpec& spec) {
     case SchemeKind::kUwMpc: {
       inst.n_modules = spec.n;  // the MPC: one module per processor
       inst.eps_effective = 0.0;
-      inst.c = memmap::uw_c(inst.m, spec.b);
-      inst.r = 2 * inst.c - 1;
-      PRAMSIM_ASSERT_MSG(inst.r <= inst.n_modules,
-                         "log-redundancy map needs r <= n modules");
-      auto map = std::make_shared<memmap::HashedMap>(inst.m, inst.n_modules,
-                                                     inst.r, spec.seed);
-      majority::SchedulerConfig cfg;
-      cfg.c = inst.c;
-      cfg.cluster_size = inst.r;
-      cfg.n_processors = spec.n;
-      cfg.stage1_turns = spec.stage1_turns;
-      cfg.all_at_once = spec.all_at_once;
-      install_engine(inst,
-                     std::make_unique<majority::DmmpcEngine>(map, cfg));
-      inst.map = std::move(map);
+      install_replicated_map(inst, memmap::uw_c(inst.m, spec.b), spec.seed);
+      install_engine(inst, std::make_unique<majority::DmmpcEngine>(
+                               inst.map, scheduler_config(inst, spec)));
       inst.model = "MPC";
       inst.notes = "UW'87";
       break;
@@ -225,21 +203,10 @@ SchemeInstance make_scheme(const SchemeSpec& spec) {
       PRAMSIM_ASSERT(util::is_pow2(spec.n));
       inst.n_modules = spec.n;  // BDN: one module per node
       inst.eps_effective = 0.0;
-      inst.c = memmap::uw_c(inst.m, spec.b);
-      inst.r = 2 * inst.c - 1;
-      PRAMSIM_ASSERT_MSG(inst.r <= inst.n_modules,
-                         "log-redundancy map needs r <= n modules");
-      auto map = std::make_shared<memmap::HashedMap>(inst.m, inst.n_modules,
-                                                     inst.r, spec.seed);
-      majority::SchedulerConfig cfg;
-      cfg.c = inst.c;
-      cfg.cluster_size = inst.r;
-      cfg.n_processors = spec.n;
-      cfg.stage1_turns = spec.stage1_turns;
-      cfg.all_at_once = spec.all_at_once;
-      auto engine = std::make_unique<AltBdnEngine>(map, cfg);
+      install_replicated_map(inst, memmap::uw_c(inst.m, spec.b), spec.seed);
+      auto engine = std::make_unique<AltBdnEngine>(
+          inst.map, scheduler_config(inst, spec));
       inst.request_hops = engine->cycles_per_round();
-      inst.map = std::move(map);
       install_engine(inst, std::move(engine));
       inst.model = "BDN (sorting)";
       inst.time_unit = "cycles";
@@ -249,22 +216,11 @@ SchemeInstance make_scheme(const SchemeSpec& spec) {
     case SchemeKind::kHbExpander: {
       inst.n_modules = spec.n;  // modules at the expander's nodes
       inst.eps_effective = 0.0;
-      inst.c = hb_c(inst.m);
-      inst.r = 2 * inst.c - 1;
-      PRAMSIM_ASSERT_MSG(inst.r <= inst.n_modules,
-                         "log/loglog-redundancy map needs r <= n modules");
-      auto map = std::make_shared<memmap::HashedMap>(inst.m, inst.n_modules,
-                                                     inst.r, spec.seed);
-      majority::SchedulerConfig cfg;
-      cfg.c = inst.c;
-      cfg.cluster_size = inst.r;
-      cfg.n_processors = spec.n;
-      cfg.stage1_turns = spec.stage1_turns;
-      cfg.all_at_once = spec.all_at_once;
+      install_replicated_map(inst, hb_c(inst.m), spec.seed);
       auto engine = std::make_unique<HbExpanderEngine>(
-          map, cfg, /*graph_degree=*/6, /*graph_seed=*/spec.seed + 101);
+          inst.map, scheduler_config(inst, spec), /*graph_degree=*/6,
+          /*graph_seed=*/spec.seed + 101);
       inst.request_hops = engine->cycles_per_round();
-      inst.map = std::move(map);
       install_engine(inst, std::move(engine));
       inst.model = "BDN (expander)";
       inst.time_unit = "cycles";
@@ -277,12 +233,10 @@ SchemeInstance make_scheme(const SchemeSpec& spec) {
       inst.eps_effective = 0.0;
       inst.c = 1;
       inst.r = 1;
-      std::shared_ptr<const memmap::MemoryMap> map =
+      inst.map =
           memmap::make_single_copy_map(inst.m, inst.n_modules, spec.seed);
-      auto engine =
-          std::make_unique<RanadeButterflyEngine>(map, spec.n);
-      inst.map = std::move(map);
-      install_engine(inst, std::move(engine));
+      install_engine(inst,
+                     std::make_unique<RanadeButterflyEngine>(inst.map, spec.n));
       inst.model = "BDN (butterfly)";
       inst.time_unit = "cycles";
       inst.deterministic = false;

@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -106,6 +107,11 @@ class FaultableMemory final : public pram::MemorySystem {
   pram::ScrubResult scrub(std::uint64_t budget) override;
 
   [[nodiscard]] const FaultModel& model() const { return model_; }
+  /// The realized kill set as (onset step, module), sorted by onset.
+  [[nodiscard]] std::span<const std::pair<std::uint64_t, std::uint32_t>>
+  onsets() const {
+    return onsets_;
+  }
   [[nodiscard]] const TraceChecker& checker() const { return checker_; }
   /// True when the wrapped scheme injects at its own replica/share
   /// granularity; false when the wrapper degrades it externally.

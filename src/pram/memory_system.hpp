@@ -262,7 +262,10 @@ class MemorySystem {
   //  * snapshot() is deliberately NON-const: a wrapper may have to flush
   //    internal buffers into its inner scheme first (cache dirty lines —
   //    the write-back MUST precede serialization or the checkpoint
-  //    captures stale backing state). Observable values never change.
+  //    captures stale backing state). Observable values never change,
+  //    faulted or not: a flush may only land on storage that still
+  //    holds what it is given (the cache keeps no dirty line past the
+  //    first module death, see cache/cached_memory.hpp).
   //  * restore() returns false on any frame/body mismatch (wrong magic,
   //    wrong m, truncated stream); the target's state is then
   //    unspecified and the caller must discard it.

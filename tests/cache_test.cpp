@@ -458,5 +458,148 @@ TEST(CachedMemory, SnapshotFlushesDirtyLinesBeforeSerializing) {
   EXPECT_EQ(restored.peek(VarId(2)), 0);
 }
 
+// Durability under replica-level faults: a checkpoint must not change
+// what the machine observably holds. The first module death writes every
+// dirty line back and turns on write-through, so snapshot() never pushes
+// a dirty line into storage that died under it (whose peek would then
+// read the loss instead of the committed value).
+TEST(CachedMemory, SnapshotLeavesPeeksUnchangedUnderDynamicFaults) {
+  const faults::FaultSpec fault_spec{.seed = 41,
+                                     .module_kill_rate = 0.2,
+                                     .onset_min = 2,
+                                     .onset_max = 6};
+  pram::TraceParams params;
+  params.write_fraction = 0.5;
+  for (const core::SchemeKind kind : core::all_scheme_kinds()) {
+    faults::FaultableMemory faulty(
+        core::make_memory(
+            {.kind = kind, .n = 16, .seed = 3, .cache_lines = 32}),
+        fault_spec);
+    util::Rng rng(7);
+    const auto trace = pram::make_trace(pram::TraceFamily::kZipfian, 16,
+                                        faulty.size(), 12, rng, params);
+    (void)core::run_trace(faulty, trace);
+
+    std::vector<pram::Word> before(faulty.size());
+    for (std::uint32_t v = 0; v < before.size(); ++v) {
+      before[v] = faulty.peek(VarId(v));
+    }
+    pram::BufferSink sink;
+    faulty.snapshot(sink);
+    std::size_t changed = 0;
+    for (std::uint32_t v = 0; v < before.size(); ++v) {
+      changed += faulty.peek(VarId(v)) != before[v] ? 1 : 0;
+    }
+    EXPECT_EQ(changed, 0u) << core::to_string(kind) << "+cache: "
+                           << changed << " of " << before.size()
+                           << " peeks changed by snapshot()";
+  }
+}
+
+/// Scripted module deaths: module m dies at step onset[m] (0 = never).
+class ScriptedDeaths final : public pram::FaultHooks {
+ public:
+  explicit ScriptedDeaths(std::vector<std::uint64_t> onset)
+      : onset_(std::move(onset)) {}
+  [[nodiscard]] bool module_dead(ModuleId module,
+                                 std::uint64_t step) const override {
+    const std::uint64_t onset = onset_[module.index()];
+    return onset != 0 && step >= onset;
+  }
+  [[nodiscard]] bool stuck_at(std::uint64_t, std::uint32_t, std::uint64_t,
+                              pram::Word&) const override {
+    return false;
+  }
+  [[nodiscard]] bool corrupt_write(std::uint64_t, std::uint32_t,
+                                   std::uint64_t, std::uint64_t,
+                                   pram::Word&) const override {
+    return false;
+  }
+
+ private:
+  std::vector<std::uint64_t> onset_;
+};
+
+/// Single-copy memory over 4 modules (variable v on module v % 4) that
+/// applies module deaths itself: a dead module drops stores and reads 0.
+class DyingMemory final : public pram::MemorySystem {
+ public:
+  explicit DyingMemory(std::uint64_t m) : cells_(m, 0) {}
+
+  pram::MemStepCost serve(const pram::AccessPlan& plan,
+                          pram::ServeContext& ctx) override {
+    const std::uint64_t step = advance_step_clock();
+    ctx.stamp_step(step);
+    for (std::size_t i = 0; i < plan.reads.size(); ++i) {
+      ctx.read_values()[i] = read(plan.reads[i], step);
+    }
+    for (const auto& write : plan.writes) {
+      store(write.var, write.value, step);
+    }
+    return {.time = 1};
+  }
+  [[nodiscard]] std::uint64_t size() const override { return cells_.size(); }
+  [[nodiscard]] pram::Word peek(VarId var) const override {
+    return read(var, steps_served());
+  }
+  void poke(VarId var, pram::Word value) override {
+    store(var, value, steps_served());
+  }
+  [[nodiscard]] std::uint32_t num_modules() const override { return 4; }
+  bool set_fault_hooks(const pram::FaultHooks* hooks) override {
+    hooks_ = hooks;
+    return true;
+  }
+
+ private:
+  [[nodiscard]] bool dead(VarId var, std::uint64_t step) const {
+    return hooks_ != nullptr &&
+           hooks_->module_dead(ModuleId(var.index() % 4), step);
+  }
+  [[nodiscard]] pram::Word read(VarId var, std::uint64_t step) const {
+    return dead(var, step) ? 0 : cells_[var.index()];
+  }
+  void store(VarId var, pram::Word value, std::uint64_t step) {
+    if (!dead(var, step)) {
+      cells_[var.index()] = value;
+    }
+  }
+
+  std::vector<pram::Word> cells_;
+  const pram::FaultHooks* hooks_ = nullptr;
+};
+
+// The first module death the fault clock sees writes every dirty line
+// back — even lines on modules that are still alive — and turns the
+// cache write-through. A dirty line kept past that point could outlive
+// its own module's later death, and the next snapshot() would then push
+// it into dead storage and change what peek() reports.
+TEST(CachedMemory, FirstDeathWritesBackDirtyLinesThenWritesThrough) {
+  auto dying = std::make_unique<DyingMemory>(16);
+  DyingMemory* inner = dying.get();
+  cache::CachedMemory cached(std::move(dying),
+                             cache::CacheConfig{.capacity = 8});
+  const ScriptedDeaths deaths({0, 2, 3, 0});  // module 1 at 2, module 2 at 3
+  ASSERT_TRUE(cached.set_fault_hooks(&deaths));
+
+  std::vector<pram::Word> no_values;
+  const std::vector<pram::VarWrite> dirty = {{VarId(2), 77}};
+  const std::vector<pram::VarWrite> through = {{VarId(3), 5}};
+  cached.step({}, no_values, dirty);  // step 1: a dirty line on module 2
+  ASSERT_EQ(inner->peek(VarId(2)), 0);
+  cached.step({}, no_values, {});  // step 2: module 1 dies
+  EXPECT_EQ(inner->peek(VarId(2)), 77) << "dirty line not written back";
+  EXPECT_EQ(cached.stats().writebacks, 1u);
+
+  cached.step({}, no_values, through);  // step 3: module 2 dies
+  EXPECT_EQ(inner->peek(VarId(3)), 5) << "write did not go through";
+  EXPECT_EQ(cached.peek(VarId(2)), 0) << "the loss must show, as uncached";
+
+  pram::BufferSink sink;
+  cached.snapshot(sink);
+  EXPECT_EQ(cached.peek(VarId(2)), 0);
+  EXPECT_EQ(cached.peek(VarId(3)), 5);
+}
+
 }  // namespace
 }  // namespace pramsim

@@ -19,6 +19,7 @@
 #include "durability/recovery.hpp"
 #include "durability/wal.hpp"
 #include "faults/fault_model.hpp"
+#include "obs/export.hpp"
 #include "obs/sink.hpp"
 #include "pram/memory_system.hpp"
 #include "pram/snapshot.hpp"
@@ -301,6 +302,11 @@ TEST(Recovery, FromAnEmptyDirectoryIsANoOp) {
 }
 
 // ----- the kill-point crash matrix -----------------------------------------
+//
+// Scheme rows x cache tier {off, 32 lines} x faults {none, dynamic-onset
+// module kills landing mid-run} x kill points, each cell over three
+// seeds: the step loop's crash hook, the cache's checkpoint write-back
+// and the fault clock all meet here.
 
 struct MatrixScheme {
   const char* name;
@@ -310,32 +316,65 @@ struct MatrixScheme {
 const std::vector<MatrixScheme>& matrix_schemes() {
   static const std::vector<MatrixScheme> schemes = {
       {"dmmpc", {.kind = core::SchemeKind::kDmmpc, .n = 16, .seed = 3}},
-      {"ida", {.kind = core::SchemeKind::kIda, .n = 16, .seed = 3}},
-      {"hashed", {.kind = core::SchemeKind::kHashed, .n = 16, .seed = 3}},
-      {"dmmpc_cached",
+      {"dmmpc_gp",
        {.kind = core::SchemeKind::kDmmpc,
         .n = 16,
         .seed = 3,
-        .cache_lines = 32}},
+        .backend = pram::ServeBackend::kGroupParallel}},
+      {"ida", {.kind = core::SchemeKind::kIda, .n = 16, .seed = 3}},
+      {"hashed", {.kind = core::SchemeKind::kHashed, .n = 16, .seed = 3}},
   };
   return schemes;
 }
 
-using MatrixParam = std::tuple<std::size_t, core::KillPoint>;
+/// Dynamic-onset module kills (Chlebus et al. semantics): the kill set
+/// dies between steps 2 and 6, inside every seed's run.
+constexpr faults::FaultSpec kMatrixFaults{.seed = 41,
+                                          .module_kill_rate = 0.2,
+                                          .onset_min = 2,
+                                          .onset_max = 6};
+
+/// (scheme row, cache lines, faulted, kill point)
+using MatrixParam =
+    std::tuple<std::size_t, std::uint64_t, bool, core::KillPoint>;
 
 class CrashMatrixTest : public ::testing::TestWithParam<MatrixParam> {
  protected:
-  [[nodiscard]] static const MatrixScheme& scheme() {
-    return matrix_schemes()[std::get<0>(GetParam())];
+  [[nodiscard]] static core::SchemeSpec spec() {
+    core::SchemeSpec spec = matrix_schemes()[std::get<0>(GetParam())].spec;
+    spec.cache_lines = std::get<1>(GetParam());
+    return spec;
+  }
+  [[nodiscard]] static const faults::FaultSpec* fault_spec() {
+    return std::get<2>(GetParam()) ? &kMatrixFaults : nullptr;
   }
   [[nodiscard]] static core::KillPoint kill_point() {
-    return std::get<1>(GetParam());
+    return std::get<3>(GetParam());
   }
 };
 
+std::string cell_name(const MatrixParam& param) {
+  const auto& [row, cache_lines, faulted, point] = param;
+  return std::string(matrix_schemes()[row].name) +
+         (cache_lines > 0 ? "_cached" : "") + (faulted ? "_faulted" : "") +
+         "_" + core::to_string(point);
+}
+
 std::string matrix_name(const ::testing::TestParamInfo<MatrixParam>& info) {
-  return std::string(matrix_schemes()[std::get<0>(info.param)].name) + "_" +
-         core::to_string(std::get<1>(info.param));
+  return cell_name(info.param);
+}
+
+/// Replay context for a failing cell: the seed, the kill step, and the
+/// run's journal tail.
+std::string replay_context(std::uint64_t seed,
+                           core::CrashRecoveryResult& result) {
+  std::string text = "replay: seed " + std::to_string(seed) +
+                     ", killed at step " + std::to_string(result.kill_step) +
+                     "\n";
+  for (const auto& table : obs::to_tables(result.obs, 16)) {
+    text += table.to_string();
+  }
+  return text;
 }
 
 /// The per-kill-point protocol invariants, beyond bit-exactness.
@@ -381,28 +420,26 @@ void expect_kill_point_invariants(const core::CrashRecoveryResult& result,
 }
 
 TEST_P(CrashMatrixTest, RecoversBitExactWithZeroLostCommittedWrites) {
-  core::SimulationPipeline pipeline(scheme().spec);
+  core::SimulationPipeline pipeline(spec());
+  ASSERT_EQ(pipeline.scheme().backend, spec().backend);
   for (const std::uint64_t seed : {1ULL, 5ULL, 9ULL}) {
     core::CrashRecoveryOptions options;
     options.steps = 24;
     options.seed = seed;
     options.family = pram::TraceFamily::kUniform;
     options.kill_point = kill_point();
-    options.durability.directory =
-        scratch_dir(std::string("matrix_") + scheme().name + "_" +
-                    core::to_string(kill_point()) + "_" +
-                    std::to_string(seed));
+    options.durability.directory = scratch_dir(
+        "matrix_" + cell_name(GetParam()) + "_" + std::to_string(seed));
     options.durability.wal_flush_interval = 2;
     options.durability.checkpoint_interval = 6;
+    options.obs = obs::SinkOptions{};
 
-    const auto result = pipeline.run_crash_recovery(options);
+    auto result = pipeline.run_crash_recovery(options, fault_spec());
+    SCOPED_TRACE(replay_context(seed, result));
     ASSERT_GE(result.kill_step, 1u);
     ASSERT_LE(result.kill_step, options.steps);
-    EXPECT_TRUE(result.bit_exact)
-        << scheme().name << " seed " << seed << " killed at step "
-        << result.kill_step;
-    EXPECT_EQ(result.lost_committed_writes, 0u)
-        << scheme().name << " seed " << seed;
+    EXPECT_TRUE(result.bit_exact);
+    EXPECT_EQ(result.lost_committed_writes, 0u);
     EXPECT_EQ(result.vars_checked, pipeline.scheme().m);
     expect_kill_point_invariants(result, kill_point());
   }
@@ -412,6 +449,8 @@ INSTANTIATE_TEST_SUITE_P(
     SchemesTimesKillPoints, CrashMatrixTest,
     ::testing::Combine(::testing::Range(std::size_t{0},
                                         matrix_schemes().size()),
+                       ::testing::Values(std::uint64_t{0}, std::uint64_t{32}),
+                       ::testing::Bool(),
                        ::testing::ValuesIn(core::all_kill_points())),
     matrix_name);
 

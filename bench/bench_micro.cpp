@@ -16,6 +16,7 @@
 #include "ida/gf256.hpp"
 #include "majority/copy_store.hpp"
 #include "majority/scheduler.hpp"
+#include "memmap/expansion.hpp"
 #include "memmap/memory_map.hpp"
 #include "network/paths.hpp"
 #include "network/router.hpp"
@@ -259,6 +260,29 @@ int main() {
     }, 1);
     add_row(table, "dmmpc_schedule_step", "n=" + std::to_string(n), m, n,
             8.0 * n);
+  }
+
+  // The stress pipeline's two adversaries at n = 256, beside
+  // dmmpc_schedule_step n=256: the adversary / serve cost ratio within
+  // one run on one host. Fresh seed per call, as the driver draws them.
+  {
+    const std::uint32_t n = 256;
+    auto inst = core::make_scheme({.kind = core::SchemeKind::kDmmpc, .n = n});
+    const memmap::MemoryMap& map = *inst.memory->memory_map();
+    std::uint64_t seed = 0;
+    const auto m = measure([&] {
+      do_not_optimize(memmap::adversarial_batch(map, n, ++seed));
+    }, 1);
+    add_row(table, "memmap_adversarial_batch", "n=256", m, n);
+  }
+  {
+    const std::uint32_t n = 256;
+    auto inst = core::make_scheme({.kind = core::SchemeKind::kHashed, .n = n});
+    std::uint64_t seed = 0;
+    const auto m = measure([&] {
+      do_not_optimize(inst.memory->adversarial_vars(n, ++seed));
+    }, 1);
+    add_row(table, "mv_adversarial_vars", "n=256", m, n);
   }
 
   for (const std::uint32_t n : {64u, 128u, 256u}) {

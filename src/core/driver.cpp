@@ -104,7 +104,7 @@ struct ScrubCadence {
   }
 };
 
-/// Adversarial plan source: map-crafted congestion batches, else the
+/// Adversarial batch source: map-crafted congestion batches, else the
 /// scheme's own adversary (e.g. the hashed baseline's preimage attack).
 /// Generated one step at a time — never pre-built or double-buffered —
 /// so a state-dependent adversary tracks placement changes serving
@@ -116,7 +116,7 @@ struct Adversary {
 
   /// Fill `batch` with the next step's reads; false once the adversary
   /// has nothing to offer (schemes with neither map nor adversary).
-  bool next(pram::AccessBatch& batch) const {
+  bool operator()(pram::AccessBatch& batch) const {
     const memmap::MemoryMap* map = memory.memory_map();
     const auto vars = map != nullptr
                           ? memmap::adversarial_batch(*map, n, rng.next())
@@ -129,9 +129,26 @@ struct Adversary {
   }
 };
 
-/// The driver's one step loop: a plan source (a trace or an adversary)
-/// feeds serve_plan, then the post-step hooks run in order on the serving
-/// thread. Every run mode is a configuration of it.
+/// Trace batch source: make_trace's batches, generated one step at a time
+/// (the same stream), so a stress stage never holds its whole trace.
+struct TraceSteps {
+  pram::TraceFamily family;
+  std::uint32_t n = 0;
+  std::uint64_t m = 0;
+  util::Rng& rng;
+  const pram::TraceParams& params;
+  std::size_t step = 0;
+
+  bool operator()(pram::AccessBatch& batch) {
+    batch = pram::make_trace_step(family, n, m, step++, rng, params);
+    return true;
+  }
+};
+
+/// The driver's one step loop: a plan source (a trace, or a batch source
+/// generating one step at a time) feeds serve_plan, then the post-step
+/// hooks run in order on the serving thread. Every run mode is a
+/// configuration of it.
 class StepLoop {
  public:
   StepLoop(pram::MemorySystem& memory, util::Executor* executor,
@@ -143,24 +160,31 @@ class StepLoop {
     return *this;
   }
 
-  /// Serve `trace` in order. With `double_buffer` (and a trace long
-  /// enough to amortize the thread) a generator thread builds plan N+1
-  /// while this thread serves plan N — results are identical, since plan
-  /// building never touches memory state (plan_group_of is immutable).
-  void run(std::span<const pram::AccessBatch> trace, bool double_buffer) {
-    if (double_buffer && trace.size() >= 4) {
-      run_double_buffered(trace);
-      return;
-    }
+  /// Serve `trace` in order.
+  void run(std::span<const pram::AccessBatch> trace) {
     for (std::size_t i = 0; i < trace.size(); ++i) {
       serve(build(slots_[0], trace[i], i + 1), i + 1);
     }
   }
 
-  /// Serve up to `steps` adversarial batches, one generated per step.
-  void run(const Adversary& adversary, std::size_t steps) {
-    for (std::size_t i = 0; i < steps && adversary.next(batch_); ++i) {
-      serve(build(slots_[0], batch_, i + 1), i + 1);
+  /// Serve up to `steps` batches that `next` generates one per step, each
+  /// generation timed as `phase` with the step it feeds; stops early once
+  /// `next` has nothing to offer. With `double_buffer` (and enough steps
+  /// to amortize the thread) a generator thread generates and builds step
+  /// N+1 while this thread serves step N. Results are identical for a
+  /// source that never reads memory state (a trace, never an adversary),
+  /// since plan building never touches it either (plan_group_of is
+  /// immutable).
+  template <typename Source>
+  void run(Source next, obs::Phase phase, std::size_t steps,
+           bool double_buffer = false) {
+    if (double_buffer && steps >= 4) {
+      run_double_buffered(next, phase, steps);
+      return;
+    }
+    for (std::size_t i = 0;
+         i < steps && generate(next, phase, batches_[0], i + 1); ++i) {
+      serve(build(slots_[0], batches_[0], i + 1), i + 1);
     }
   }
 
@@ -169,6 +193,13 @@ class StepLoop {
   [[nodiscard]] obs::PhaseSet* timing(std::uint64_t step) const {
     return sink_ != nullptr && sink_->sample(step) ? &sink_->phases
                                                    : nullptr;
+  }
+
+  template <typename Source>
+  bool generate(Source& next, obs::Phase phase, pram::AccessBatch& batch,
+                std::uint64_t step) const {
+    const obs::ScopedPhase timer(timing(step), phase);
+    return next(batch);
   }
 
   const pram::AccessPlan& build(PlanBuilder& slot,
@@ -187,7 +218,9 @@ class StepLoop {
     }
   }
 
-  void run_double_buffered(std::span<const pram::AccessBatch> trace) {
+  template <typename Source>
+  void run_double_buffered(Source& next, obs::Phase phase,
+                           std::size_t steps) {
     std::mutex mutex;
     std::condition_variable cv;
     std::size_t built = 0;   // plans fully built
@@ -203,17 +236,19 @@ class StepLoop {
       }
       cv.notify_all();
     };
-    // The generator thread writes ONLY the kPlanBuild row; the serving
-    // thread writes kServe/kScrub — distinct PhaseSet slots, single
-    // writer each (see obs/phase.hpp).
+    // The generator thread writes ONLY the generation `phase` and
+    // kPlanBuild rows; the serving thread writes kServe/kScrub — distinct
+    // PhaseSet slots, single writer each (see obs/phase.hpp).
     std::thread generator([&] {
-      for (std::size_t i = 0; i < trace.size(); ++i) {
+      for (std::size_t i = 0; i < steps; ++i) {
         wait_until([&] { return i < served + 2; });
-        (void)build(slots_[i % 2], trace[i], i + 1);
+        const bool filled = generate(next, phase, batches_[i % 2], i + 1);
+        PRAMSIM_ASSERT_MSG(filled, "a double-buffered source fills every step");
+        (void)build(slots_[i % 2], batches_[i % 2], i + 1);
         publish(built, i + 1);
       }
     });
-    for (std::size_t i = 0; i < trace.size(); ++i) {
+    for (std::size_t i = 0; i < steps; ++i) {
       wait_until([&] { return built > i; });
       serve(slots_[i % 2].plan(), i + 1);
       publish(served, i + 1);
@@ -224,7 +259,7 @@ class StepLoop {
   pram::MemorySystem& memory_;
   obs::Sink* sink_;
   PlanBuilder slots_[2];
-  pram::AccessBatch batch_;  ///< the adversary's reused batch
+  pram::AccessBatch batches_[2];  ///< a batch source's reused batches
   std::vector<pram::Word> values_;
   pram::ServeContext ctx_;
   std::vector<Hook> hooks_;
@@ -238,7 +273,7 @@ TraceRunResult run_trace(pram::MemorySystem& memory,
   result.storage_factor = memory.storage_redundancy();
   StepLoop(memory, nullptr, nullptr)
       .then([&result](const Step& step) { record_step(result, step.cost); })
-      .run(trace, /*double_buffer=*/false);
+      .run(trace);
   return result;
 }
 
@@ -316,13 +351,13 @@ TraceRunResult SimulationPipeline::run_stress_impl(
     }
     if (stage < families.size()) {
       auto family_rng = rng.split();
-      const auto trace = pram::make_trace(families[stage], spec_.n,
-                                          instance_.m,
-                                          options.steps_per_family,
-                                          family_rng, options.trace);
-      loop.run(trace, double_buffer);
+      loop.run(TraceSteps{families[stage], spec_.n, instance_.m, family_rng,
+                          options.trace},
+               obs::Phase::kTraceGen, options.steps_per_family,
+               double_buffer);
     } else {
-      loop.run(Adversary{*memory, spec_.n, rng}, options.steps_per_family);
+      loop.run(Adversary{*memory, spec_.n, rng}, obs::Phase::kAdversary,
+               options.steps_per_family);
     }
     shard.reliability = memory->reliability();
     if (obs_sink != nullptr) {
@@ -422,7 +457,7 @@ CrashRecoveryResult SimulationPipeline::run_crash_recovery(
             wal.truncate_through(step.number);
           }
         })
-        .run(std::span(trace).first(kill), /*double_buffer=*/false);
+        .run(std::span(trace).first(kill));
 
     // Every kill point (see KillPoint) has the WAL durable through it.
     wal.flush();
@@ -485,8 +520,7 @@ CrashRecoveryResult SimulationPipeline::run_crash_recovery(
           committed.record_write(write.var, write.value);
         }
       })
-      .run(std::span(trace).first(result.durable_step),
-           /*double_buffer=*/false);
+      .run(std::span(trace).first(result.durable_step));
 
   result.bit_exact = true;
   result.vars_checked = reference->size();
@@ -572,7 +606,7 @@ RecoveryResult SimulationPipeline::run_recovery(
           last_bad = static_cast<std::int64_t>(step.number);
         }
       })
-      .run(trace, /*double_buffer=*/false);
+      .run(trace);
   result.scrub = scrubbed.scrub;
   result.reliability = memory->reliability();
   if (obs_sink != nullptr) {

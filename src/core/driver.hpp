@@ -3,14 +3,16 @@
 // organization behind the unified pram::MemorySystem interface. Each
 // batch is combined ONCE into an arena-backed pram::AccessPlan
 // (core::PlanBuilder) and served through MemorySystem::serve; stress
-// traffic is double-buffered (a generator thread builds plan N+1 while
-// the worker serves plan N) and sharded WITHIN trials — every
+// traffic is generated one step at a time and double-buffered (a
+// generator thread generates and builds step N+1 while the worker
+// serves plan N) and sharded WITHIN trials — every
 // (trial, family) pair is an independent shard — with util::parallel_for,
 // then merged in deterministic (trial, family, step) order so results are
 // bit-identical at any worker-thread count. This is the measurement loop
 // behind every cross-scheme bench; no caller builds a per-scheme loop by
-// hand. Inside, every run mode is one step loop: a plan source (a trace
-// or an adversary) plus ordered post-step hooks (scrub cadence, WAL and
+// hand. Inside, every run mode is one step loop: a plan source (a trace,
+// or a batch source generating one step at a time: a trace family or an
+// adversary) plus ordered post-step hooks (scrub cadence, WAL and
 // checkpoints, oracle, reliability sampling) — see docs/architecture.md.
 #pragma once
 
@@ -101,8 +103,9 @@ struct StressOptions {
   bool include_map_adversarial = true;
   /// Independent trials (fresh memory, shifted traffic seed).
   std::size_t trials = 1;
-  /// Overlap plan building with serving inside each shard (a generator
-  /// thread builds plan N+1 while the shard serves plan N). Results are
+  /// Overlap batch generation and plan building with serving inside each
+  /// shard (a generator thread generates and builds step N+1 while the
+  /// shard serves plan N). Results are
   /// identical either way. Engaged only when the shard level is not
   /// already saturating the host's cores (and never for the adversarial
   /// phase, whose state-dependent batch generation must stay interleaved

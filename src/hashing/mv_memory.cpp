@@ -1,7 +1,6 @@
 #include "hashing/mv_memory.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "util/assert.hpp"
 #include "util/parallel.hpp"
@@ -191,6 +190,53 @@ void MvMemory::faulted_write(VarId var, pram::Word value,
   cells_[var.index()] = value;
 }
 
+namespace {
+
+/// The preimage scan behind MvMemory::adversarial_vars: one `module_of`
+/// per address from `origin` (wrapping at m) until a module collects
+/// `count` preimages or `scan_cap` addresses are seen, then that module's
+/// bucket — else the first fullest one — in scan order. Per-module
+/// counts are a flat array; each address's module is recorded in the same
+/// pass as a `Module`, the narrowest type holding every module id (the
+/// record is the attack's footprint: 64 KB at m = 65536 over 256
+/// modules), and the winning bucket is read back from that record.
+template <typename Module, typename ModuleOf>
+std::vector<VarId> preimage_scan(const ModuleOf& module_of, std::uint64_t m,
+                                 std::uint64_t origin,
+                                 std::uint64_t scan_cap, std::uint32_t count,
+                                 std::uint32_t n_modules) {
+  std::vector<std::uint32_t> load(n_modules, 0);
+  std::vector<Module> scanned;
+  scanned.reserve(scan_cap);
+  std::uint32_t best = 0;
+  Module best_module = 0;
+  for (std::uint64_t addr = origin; scanned.size() < scan_cap;) {
+    const auto module = static_cast<Module>(module_of(addr));
+    scanned.push_back(module);
+    const std::uint32_t size = ++load[module];
+    if (size > best) {
+      best = size;
+      best_module = module;
+    }
+    if (size >= count) {
+      break;
+    }
+    addr = addr + 1 == m ? 0 : addr + 1;
+  }
+  std::vector<VarId> bucket;
+  bucket.reserve(best);
+  std::uint64_t addr = origin;
+  for (const Module module : scanned) {
+    if (module == best_module) {
+      bucket.emplace_back(static_cast<std::uint32_t>(addr));
+    }
+    addr = addr + 1 == m ? 0 : addr + 1;
+  }
+  return bucket;
+}
+
+}  // namespace
+
 std::vector<VarId> MvMemory::adversarial_vars(std::uint32_t count,
                                               std::uint64_t seed) const {
   const std::uint64_t m = cells_.size();
@@ -206,22 +252,20 @@ std::vector<VarId> MvMemory::adversarial_vars(std::uint32_t count,
   const std::uint64_t scan_cap = std::min<std::uint64_t>(
       m, 1024 + 8ull * count * config_.n_modules);
   const std::uint64_t origin = util::SplitMix64(seed).next() % m;
-  std::unordered_map<std::uint32_t, std::vector<VarId>> buckets;
-  std::size_t best = 0;
-  std::uint32_t best_module = 0;
-  for (std::uint64_t i = 0; i < scan_cap; ++i) {
-    const VarId var(static_cast<std::uint32_t>((origin + i) % m));
-    auto& bucket = buckets[module_of(var)];
-    bucket.push_back(var);
-    if (bucket.size() >= count) {
-      return bucket;
-    }
-    if (bucket.size() > best) {
-      best = bucket.size();
-      best_module = module_of(var);
-    }
+  const auto hash = [this](std::uint64_t addr) {
+    return module_of(VarId(static_cast<std::uint32_t>(addr)));
+  };
+  const std::uint32_t modules = config_.n_modules;
+  if (modules <= 1U << 8) {
+    return preimage_scan<std::uint8_t>(hash, m, origin, scan_cap, count,
+                                       modules);
   }
-  return buckets[best_module];
+  if (modules <= 1U << 16) {
+    return preimage_scan<std::uint16_t>(hash, m, origin, scan_cap, count,
+                                        modules);
+  }
+  return preimage_scan<std::uint32_t>(hash, m, origin, scan_cap, count,
+                                      modules);
 }
 
 pram::Word MvMemory::peek(VarId var) const {

@@ -5,15 +5,67 @@
 
 namespace pramsim::majority {
 
+namespace {
+/// Bytes per storage chunk, at most: one page, so a growing store takes
+/// its fresh memory a page per allocation (no step pays for faulting in
+/// a large chunk) and a sparsely written store stays small.
+constexpr std::size_t kChunkBytes = 4096;
+}  // namespace
+
 CopyStore::CopyStore(std::uint64_t m_vars, std::uint32_t redundancy,
                      std::uint32_t region_words)
     : m_vars_(m_vars),
       r_(redundancy),
       w_(region_words),
-      n_regions_((m_vars + region_words - 1) / region_words) {
+      n_regions_((m_vars + region_words - 1) / region_words),
+      row_len_(static_cast<std::size_t>(redundancy) * region_words),
+      chunk_shift_(std::bit_width(std::max<std::size_t>(
+                       1, kChunkBytes / (sizeof(Copy) * row_len_))) -
+                   1) {
   PRAMSIM_ASSERT(m_vars >= 1);
   PRAMSIM_ASSERT(redundancy >= 1 && redundancy <= 64);
   PRAMSIM_ASSERT(region_words >= 1);
+}
+
+Copy* CopyStore::row_of(std::uint64_t region) {
+  PRAMSIM_DASSERT(region < n_regions_);
+  if (Copy* data = find_row(region)) {
+    return data;
+  }
+  const std::size_t row = regions_.size();
+  PRAMSIM_ASSERT(row < 0xFFFFFFFFU);
+  if (2 * (row + 1) > slots_.size()) {
+    rehash(std::max<std::size_t>(16, 2 * slots_.size()));
+  }
+  if ((row >> chunk_shift_) == chunks_.size()) {
+    chunks_.push_back(
+        std::make_unique<Copy[]>((std::size_t{1} << chunk_shift_) * row_len_));
+  }
+  regions_.push_back(region);
+  std::size_t i = slot_of(region);
+  while (slots_[i] != 0) {
+    i = (i + 1) & (slots_.size() - 1);
+  }
+  slots_[i] = static_cast<std::uint32_t>(row + 1);
+  return row_data(row);
+}
+
+void CopyStore::rehash(std::size_t slots) {
+  slots_.assign(slots, 0);
+  slot_shift_ = 64 - std::countr_zero(slots);
+  for (std::size_t row = 0; row < regions_.size(); ++row) {
+    std::size_t i = slot_of(regions_[row]);
+    while (slots_[i] != 0) {
+      i = (i + 1) & (slots - 1);
+    }
+    slots_[i] = static_cast<std::uint32_t>(row + 1);
+  }
+}
+
+void CopyStore::clear_rows() {
+  chunks_.clear();
+  regions_.clear();
+  slots_.clear();
 }
 
 Copy CopyStore::freshest(VarId var, std::uint64_t mask) const {
@@ -109,13 +161,12 @@ std::int32_t CopyStore::vote_region(std::uint64_t region,
   if (live == 0) {
     return kNoRegionMajority;  // no survivors: caller flags uncorrectable
   }
-  const auto it = copies_.find(region);
-  if (it == copies_.end()) {
+  const Copy* data = find_row(region);
+  if (data == nullptr) {
     // Untouched region: every live copy reads the initial {0, 0} span —
     // unanimous by definition; the lowest live copy represents it.
     return std::countr_zero(live_mask);
   }
-  const Copy* data = it->second.data();
   const std::size_t slice_bytes = sizeof(Copy) * w_;
   const std::uint32_t majority = live / 2 + 1;
   // Only the first live - majority + 1 live copies can lead a strict
@@ -162,11 +213,10 @@ void CopyStore::copy_region(std::uint64_t region, std::uint32_t from,
   if (from == to) {
     return;
   }
-  const auto it = copies_.find(region);
-  if (it == copies_.end()) {
+  Copy* data = find_row(region);
+  if (data == nullptr) {
     return;  // untouched: all copies already read the initial span
   }
-  Copy* data = it->second.data();
   std::memcpy(data + static_cast<std::size_t>(to) * w_,
               data + static_cast<std::size_t>(from) * w_, sizeof(Copy) * w_);
 }
@@ -191,7 +241,7 @@ std::uint32_t CopyStore::store_all(VarId var,
       ++corrupt_stores;
     }
     if (col == nullptr) {
-      col = row(var).data() + var.index() % w_;
+      col = row(var) + var.index() % w_;
     }
     col[static_cast<std::size_t>(i) * w_] = Copy{committed, stamp};
   }

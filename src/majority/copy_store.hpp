@@ -16,9 +16,10 @@
 // word-at-a-time semantics.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "pram/faults.hpp"
@@ -42,6 +43,11 @@ static_assert(sizeof(Copy) == 2 * sizeof(std::uint64_t),
 /// initial {0, 0} copy. This keeps full-scale memories (m up to n^2 for
 /// n in the thousands) cheap to construct: storage is proportional to the
 /// regions a run actually writes, not to m*r.
+///
+/// Layout: materialized rows sit back to back in fixed-size chunks (a
+/// row never moves once materialized), found through a flat
+/// open-addressed region index — 16 to 24 bytes of bookkeeping per row
+/// on top of its r * region_words copies.
 class CopyStore {
  public:
   CopyStore(std::uint64_t m_vars, std::uint32_t redundancy,
@@ -57,24 +63,23 @@ class CopyStore {
   /// Regions with at least one written copy (live-set accounting; with
   /// region_words == 1 this is exactly "variables with >= 1 written
   /// copy", the classic meaning).
-  [[nodiscard]] std::uint64_t touched_vars() const { return copies_.size(); }
+  [[nodiscard]] std::uint64_t touched_vars() const { return regions_.size(); }
   /// True when `var`'s region has a materialized row (>= 1 copy of some
   /// variable in the region ever written). Untouched variables read as
   /// the initial {0, 0} copy everywhere, so repair passes can restore
   /// their redundancy by relocation alone.
   [[nodiscard]] bool touched(VarId var) const {
-    return copies_.find(region_of(var)) != copies_.end();
+    return find_row(region_of(var)) != nullptr;
   }
 
   [[nodiscard]] const Copy& at(VarId var, std::uint32_t copy) const {
     PRAMSIM_DASSERT(var.index() < m_vars_ && copy < r_);
-    const auto it = copies_.find(region_of(var));
-    if (it == copies_.end()) {
+    const Copy* data = find_row(region_of(var));
+    if (data == nullptr) {
       static const Copy kInitial{};
       return kInitial;
     }
-    return it->second[static_cast<std::size_t>(copy) * w_ +
-                      var.index() % w_];
+    return data[static_cast<std::size_t>(copy) * w_ + var.index() % w_];
   }
 
   void write(VarId var, std::uint32_t copy, pram::Word value,
@@ -86,7 +91,7 @@ class CopyStore {
 
   // ----- group-parallel serve surface -----
   //
-  // The sparse map's structure must not mutate while group workers write
+  // The sparse index's structure must not mutate while group workers write
   // concurrently, so the parallel value phase is two-phase: the serving
   // thread materializes every written variable's region row up front
   // (ensure_row), then workers update DISTINCT variables' slots in place
@@ -103,9 +108,9 @@ class CopyStore {
   void write_prepared(VarId var, std::uint32_t copy, pram::Word value,
                       std::uint64_t stamp) {
     PRAMSIM_DASSERT(var.index() < m_vars_ && copy < r_);
-    const auto it = copies_.find(region_of(var));
-    PRAMSIM_DASSERT(it != copies_.end());
-    it->second[static_cast<std::size_t>(copy) * w_ + var.index() % w_] =
+    Copy* data = find_row(region_of(var));
+    PRAMSIM_DASSERT(data != nullptr);
+    data[static_cast<std::size_t>(copy) * w_ + var.index() % w_] =
         Copy{value, stamp};
   }
 
@@ -200,11 +205,11 @@ class CopyStore {
   [[nodiscard]] std::span<const Copy> region_span(std::uint64_t region,
                                                   std::uint32_t copy) const {
     PRAMSIM_DASSERT(region < n_regions_ && copy < r_);
-    const auto it = copies_.find(region);
-    if (it == copies_.end()) {
+    const Copy* data = find_row(region);
+    if (data == nullptr) {
       return {};
     }
-    return {it->second.data() + static_cast<std::size_t>(copy) * w_, w_};
+    return {data + static_cast<std::size_t>(copy) * w_, w_};
   }
 
   /// Bulk repair: memcpy copy `from`'s whole region slice over copy
@@ -215,51 +220,81 @@ class CopyStore {
 
   // ----- snapshot surface (durability checkpoints) -----
 
-  /// The materialized region rows (region id -> r * region_words copies,
-  /// copy-major). Serializers iterate region ids in sorted order so the
-  /// snapshot byte stream is canonical regardless of map iteration order.
-  [[nodiscard]] const std::unordered_map<std::uint64_t, std::vector<Copy>>&
-  rows() const {
-    return copies_;
+  /// The materialized regions, in materialization order. Serializers
+  /// sort them so the snapshot byte stream is canonical.
+  [[nodiscard]] std::span<const std::uint64_t> regions() const {
+    return regions_;
+  }
+
+  /// A materialized region's whole row: r * region_words copies,
+  /// copy-major.
+  [[nodiscard]] std::span<const Copy> region_row(std::uint64_t region) const {
+    const Copy* data = find_row(region);
+    PRAMSIM_ASSERT(data != nullptr);
+    return {data, row_len_};
   }
 
   /// Install one serialized region row — values AND stamps — replacing
   /// any existing row. Restore-only: `copies` must hold exactly
   /// redundancy() * region_words() entries.
   void restore_row(std::uint64_t region, std::span<const Copy> copies) {
-    PRAMSIM_ASSERT(region < n_regions_ &&
-                   copies.size() ==
-                       static_cast<std::size_t>(r_) * w_);
-    copies_.insert_or_assign(region,
-                             std::vector<Copy>(copies.begin(), copies.end()));
+    PRAMSIM_ASSERT(region < n_regions_ && copies.size() == row_len_);
+    std::copy(copies.begin(), copies.end(), row_of(region));
   }
 
   /// Drop every materialized row (restore resets to this blank state
   /// before installing the snapshot's rows, so a second restore onto the
   /// same instance is exact, not additive).
-  void clear_rows() { copies_.clear(); }
+  void clear_rows();
 
  private:
-  [[nodiscard]] std::vector<Copy>& row(VarId var) {
-    return copies_
-        .try_emplace(region_of(var), static_cast<std::size_t>(r_) * w_)
-        .first->second;
-  }
+  [[nodiscard]] Copy* row(VarId var) { return row_of(region_of(var)); }
   /// Pointer to `var`'s Copy for copy 0, or nullptr when the region is
   /// untouched; copy i lives at base[i * region_words()].
   [[nodiscard]] const Copy* column(VarId var) const {
-    const auto it = copies_.find(region_of(var));
-    if (it == copies_.end()) {
+    const Copy* data = find_row(region_of(var));
+    return data == nullptr ? nullptr : data + var.index() % w_;
+  }
+
+  /// `region`'s row, or nullptr when it is untouched.
+  [[nodiscard]] Copy* find_row(std::uint64_t region) const {
+    if (slots_.empty()) {
       return nullptr;
     }
-    return it->second.data() + var.index() % w_;
+    for (std::size_t i = slot_of(region);; i = (i + 1) & (slots_.size() - 1)) {
+      const std::uint32_t entry = slots_[i];
+      if (entry == 0) {
+        return nullptr;
+      }
+      if (regions_[entry - 1] == region) {
+        return row_data(entry - 1);
+      }
+    }
   }
+  /// `region`'s row, materialized (all copies {0, 0}) on first use.
+  [[nodiscard]] Copy* row_of(std::uint64_t region);
+  [[nodiscard]] std::size_t slot_of(std::uint64_t region) const {
+    return (region * 0x9E3779B97F4A7C15ULL) >> slot_shift_;
+  }
+  [[nodiscard]] Copy* row_data(std::size_t row) const {
+    return chunks_[row >> chunk_shift_].get() +
+           (row & ((std::size_t{1} << chunk_shift_) - 1)) * row_len_;
+  }
+  /// Index the materialized rows into `slots` empty slots.
+  void rehash(std::size_t slots);
 
   std::uint64_t m_vars_;
   std::uint32_t r_;
   std::uint32_t w_;
   std::uint64_t n_regions_;
-  std::unordered_map<std::uint64_t, std::vector<Copy>> copies_;
+  std::size_t row_len_;  ///< r * region_words copies per row
+  int chunk_shift_;      ///< log2 of the rows per storage chunk
+  std::vector<std::unique_ptr<Copy[]>> chunks_;
+  std::vector<std::uint64_t> regions_;  ///< row -> region
+  /// Open-addressed region index (Fibonacci hashing, linear probing,
+  /// load <= 1/2): row + 1, or 0 for an empty slot.
+  std::vector<std::uint32_t> slots_;
+  int slot_shift_ = 64;
 };
 
 }  // namespace pramsim::majority

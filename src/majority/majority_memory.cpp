@@ -523,18 +523,13 @@ void MajorityMemory::snapshot_body(pram::SnapshotSink& sink) {
   put_u32(sink, r);
   put_u32(sink, w);
 
-  std::vector<std::uint64_t> regions;
-  regions.reserve(store_.rows().size());
-  // pramlint: ordered-fold (keys collected then sorted before emission)
-  for (const auto& [region, row] : store_.rows()) {
-    (void)row;
-    regions.push_back(region);
-  }
+  std::vector<std::uint64_t> regions(store_.regions().begin(),
+                                     store_.regions().end());
   std::sort(regions.begin(), regions.end());
   put_u64(sink, regions.size());
   for (const std::uint64_t region : regions) {
     put_u64(sink, region);
-    const auto& row = store_.rows().at(region);
+    const auto row = store_.region_row(region);
     // Copy is padding-free (static_assert in copy_store.hpp), so the row
     // serializes as one raw span of (value, stamp) pairs.
     sink.write(row.data(), row.size() * sizeof(Copy));

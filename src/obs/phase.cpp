@@ -12,6 +12,8 @@ const char* to_string(Phase phase) {
     case Phase::kEncode: return "encode";
     case Phase::kScrub: return "scrub";
     case Phase::kOracle: return "oracle";
+    case Phase::kAdversary: return "adversary";
+    case Phase::kTraceGen: return "trace_gen";
   }
   return "unknown";
 }

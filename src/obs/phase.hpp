@@ -1,6 +1,7 @@
 // Phase tracing: scoped wall-clock timers around the engine's serving
 // phases (plan build, engine schedule, value phase, decode/encode,
-// scrub, oracle), recorded into per-phase breakdowns.
+// scrub, oracle) and the driver's traffic generation (adversary, trace
+// generation), recorded into per-phase breakdowns.
 //
 // Two disciplines keep this observability layer honest:
 //
@@ -19,8 +20,8 @@
 //
 // Thread-safety: a PhaseStats row is single-writer. The double-buffered
 // driver exploits this — the plan-generator thread records only
-// kPlanBuild while the serving thread records kServe/kScrub — distinct
-// array slots, no synchronization needed.
+// kTraceGen and kPlanBuild while the serving thread records
+// kServe/kScrub — distinct array slots, no synchronization needed.
 #pragma once
 
 #include <array>
@@ -48,9 +49,11 @@ enum class Phase : std::uint8_t {
   kEncode,          ///< IDA write phase (re-encode + share scatter)
   kScrub,           ///< one background scrub pass
   kOracle,          ///< FaultableMemory trace-consistency check
+  kAdversary,       ///< one adversarial batch (core driver's Adversary)
+  kTraceGen,        ///< one stress step's batch (pram::make_trace_step)
 };
 
-inline constexpr std::size_t kPhaseCount = 8;
+inline constexpr std::size_t kPhaseCount = 10;
 
 [[nodiscard]] const char* to_string(Phase phase);
 

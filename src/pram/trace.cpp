@@ -188,20 +188,26 @@ std::vector<AccessBatch> make_trace(TraceFamily family, std::uint32_t n,
                                     const TraceParams& params) {
   std::vector<AccessBatch> trace;
   trace.reserve(steps);
-  TraceParams p = params;
   for (std::size_t s = 0; s < steps; ++s) {
-    // Vary the stride family's offset per step so consecutive steps hit
-    // different variables (like a scanning stencil), and advance the
-    // working-set family's phase so the hot window rotates every
-    // working_set_period steps.
-    if (family == TraceFamily::kStride) {
-      p.offset = (params.offset + s * n) % m;
-    } else if (family == TraceFamily::kWorkingSet) {
-      p.working_set_phase = params.working_set_phase + s;
-    }
-    trace.push_back(make_batch(family, n, m, rng, p));
+    trace.push_back(make_trace_step(family, n, m, s, rng, params));
   }
   return trace;
+}
+
+AccessBatch make_trace_step(TraceFamily family, std::uint32_t n,
+                            std::uint64_t m, std::size_t step,
+                            util::Rng& rng, const TraceParams& params) {
+  // Vary the stride family's offset per step so consecutive steps hit
+  // different variables (like a scanning stencil), and advance the
+  // working-set family's phase so the hot window rotates every
+  // working_set_period steps.
+  TraceParams p = params;
+  if (family == TraceFamily::kStride) {
+    p.offset = (params.offset + step * n) % m;
+  } else if (family == TraceFamily::kWorkingSet) {
+    p.working_set_phase = params.working_set_phase + step;
+  }
+  return make_batch(family, n, m, rng, p);
 }
 
 }  // namespace pramsim::pram

@@ -94,4 +94,12 @@ struct TraceParams {
     TraceFamily family, std::uint32_t n, std::uint64_t m, std::size_t steps,
     util::Rng& rng, const TraceParams& params = {});
 
+/// Step `step` (0-based) of make_trace: called for steps 0, 1, 2, ...
+/// with one `rng`, it yields that trace's batches one at a time, so a
+/// caller serving them in order never holds the whole trace.
+[[nodiscard]] AccessBatch make_trace_step(TraceFamily family, std::uint32_t n,
+                                          std::uint64_t m, std::size_t step,
+                                          util::Rng& rng,
+                                          const TraceParams& params = {});
+
 }  // namespace pramsim::pram

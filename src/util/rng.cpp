@@ -1,6 +1,7 @@
 #include "util/rng.hpp"
 
-#include <unordered_set>
+#include <algorithm>
+#include <bit>
 
 namespace pramsim::util {
 
@@ -83,16 +84,33 @@ std::vector<std::uint32_t> Rng::permutation(std::uint32_t n) {
 std::vector<std::uint64_t> Rng::sample_without_replacement(std::uint64_t n,
                                                            std::uint64_t k) {
   PRAMSIM_ASSERT(k <= n);
-  // Floyd's algorithm: O(k) expected time, independent of n.
-  std::unordered_set<std::uint64_t> chosen;
+  // Floyd's algorithm: O(k) expected time, independent of n. Membership
+  // lives in a flat open-addressed table of >= 2k slots (load <= 1/2);
+  // drawn values are at most n - 1 < ~0, so ~0 marks an empty slot.
+  constexpr std::uint64_t kEmpty = ~0ULL;
+  const std::size_t slots = std::bit_ceil(std::max<std::uint64_t>(2 * k, 16));
+  const int shift = 64 - std::countr_zero(slots);
+  std::vector<std::uint64_t> table(slots, kEmpty);
+  // Fibonacci hashing; true when `value` was absent and is now recorded.
+  const auto insert = [&](std::uint64_t value) {
+    std::size_t i = (value * 0x9E3779B97F4A7C15ULL) >> shift;
+    while (table[i] != kEmpty) {
+      if (table[i] == value) {
+        return false;
+      }
+      i = (i + 1) & (slots - 1);
+    }
+    table[i] = value;
+    return true;
+  };
   std::vector<std::uint64_t> result;
   result.reserve(k);
   for (std::uint64_t j = n - k; j < n; ++j) {
     const std::uint64_t t = below(j + 1);
-    if (chosen.insert(t).second) {
+    if (insert(t)) {
       result.push_back(t);
     } else {
-      chosen.insert(j);
+      insert(j);
       result.push_back(j);
     }
   }

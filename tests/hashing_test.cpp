@@ -10,6 +10,7 @@
 #include "hashing/mv_memory.hpp"
 #include "hashing/universal.hpp"
 #include "util/rng.hpp"
+#include "fnv_digest.hpp"
 
 namespace pramsim::hashing {
 namespace {
@@ -186,6 +187,40 @@ TEST(MvMemory, MaxLoadGrowsSlowlyWithN) {
     EXPECT_LT(max_loads.mean(), bound) << "n=" << n;
     EXPECT_GE(max_loads.mean(), 2.0) << "n=" << n;
   }
+}
+
+TEST(MvMemory, AdversarialVarsGoldenDigest) {
+  // Bit-identity pin computed with the original bucket-map scan: every
+  // preimage, in scan order, for every seed.
+  const auto digest_of = [](const MvMemory& mem, std::uint32_t count,
+                            std::initializer_list<std::uint64_t> seeds) {
+    testing::Fnv64 digest;
+    for (const auto seed : seeds) {
+      const auto vars = mem.adversarial_vars(count, seed);
+      digest.add(vars.size());
+      for (const auto v : vars) {
+        digest.add(v.value());
+      }
+    }
+    return digest.value();
+  };
+  // The adversarial-hashed shape: m = n^2, M = n = 256.
+  const MvMemory mem(1 << 16, {.n_modules = 256, .k_wise = 2, .seed = 42});
+  EXPECT_EQ(digest_of(mem, 256, {1, 2, 3, 4, 5, 6, 7, 8}), 0x16C75F577ED87A18ULL);
+  EXPECT_EQ(digest_of(mem, 1, {9, 10}), 0x41E9F190238AF36AULL);
+  // m = 300 over 64 modules: no module reaches 64 preimages, so the scan
+  // covers the whole space and returns the first fullest bucket.
+  const MvMemory small(300, {.n_modules = 64, .k_wise = 3, .seed = 11});
+  EXPECT_EQ(digest_of(small, 64, {1, 2, 3}), 0xE8ECD0CBA2B7462CULL);
+  // Wider module ids than the M = 256 shape: 1000 and 70000 modules.
+  const MvMemory wide(1 << 17, {.n_modules = 1000, .k_wise = 2, .seed = 13});
+  EXPECT_EQ(digest_of(wide, 64, {1, 2}), 0xAA58833AA18E64F5ULL);
+  const MvMemory widest(1 << 17,
+                        {.n_modules = 70000, .k_wise = 2, .seed = 17});
+  EXPECT_EQ(digest_of(widest, 3, {1, 2}), 0x2A5C87C7081432D0ULL);
+  // count > m is clamped to m.
+  EXPECT_EQ(digest_of(small, 1000, {4}), 0x0057CBA58F97F44CULL);
+  EXPECT_TRUE(small.adversarial_vars(0, 5).empty());
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // oracle under random operation streams), and failure injection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <set>
@@ -149,6 +150,57 @@ TEST(CopyStore, WidthOneAndWidthFourAgreeOnEveryQuery) {
               wide.freshest(var, 0b101).value);
     EXPECT_EQ(narrow.ground_truth(var).value, wide.ground_truth(var).value);
     EXPECT_EQ(narrow.ground_truth(var).stamp, wide.ground_truth(var).stamp);
+  }
+}
+
+TEST(CopyStore, RowsSurviveGrowthClearAndRestore) {
+  // Thousands of materialized rows span many storage chunks and index
+  // rehashes; every write stays readable, regions() lists each row once
+  // in first-write order, and clear/restore round-trip exactly.
+  for (const std::uint32_t w : {1u, 3u}) {
+    CopyStore store(20000, 5, w);
+    std::map<std::pair<std::uint32_t, std::uint32_t>, Copy> expect;
+    std::vector<std::uint64_t> first_writes;
+    util::Rng rng(23);
+    for (std::uint64_t i = 1; i <= 6000; ++i) {
+      const VarId var(static_cast<std::uint32_t>(rng.below(20000)));
+      const auto copy = static_cast<std::uint32_t>(rng.below(5));
+      if (!store.touched(var)) {
+        first_writes.push_back(store.region_of(var));
+      }
+      const auto value = static_cast<Word>(1000 + i);
+      store.write(var, copy, value, i);
+      expect[{var.value(), copy}] = Copy{value, i};
+    }
+    ASSERT_EQ(store.touched_vars(), first_writes.size()) << w;
+    ASSERT_TRUE(std::equal(store.regions().begin(), store.regions().end(),
+                           first_writes.begin(), first_writes.end()))
+        << w;
+    for (const auto& [key, copy] : expect) {
+      const Copy& got = store.at(VarId(key.first), key.second);
+      ASSERT_EQ(got.value, copy.value) << w;
+      ASSERT_EQ(got.stamp, copy.stamp) << w;
+    }
+
+    // Snapshot every row, clear, restore in reverse order: identical.
+    std::vector<std::vector<Copy>> rows;
+    for (const auto region : first_writes) {
+      const auto row = store.region_row(region);
+      rows.emplace_back(row.begin(), row.end());
+    }
+    store.clear_rows();
+    EXPECT_EQ(store.touched_vars(), 0u);
+    EXPECT_EQ(store.at(VarId(expect.begin()->first.first), 0).stamp, 0u);
+    for (std::size_t i = first_writes.size(); i-- > 0;) {
+      store.restore_row(first_writes[i], rows[i]);
+    }
+    // Restoring over an existing row replaces it.
+    store.restore_row(first_writes[0], rows[0]);
+    EXPECT_EQ(store.touched_vars(), first_writes.size());
+    for (const auto& [key, copy] : expect) {
+      ASSERT_EQ(store.at(VarId(key.first), key.second).value, copy.value)
+          << w;
+    }
   }
 }
 

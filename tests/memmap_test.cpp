@@ -10,6 +10,7 @@
 #include "memmap/memory_map.hpp"
 #include "memmap/params.hpp"
 #include "util/math.hpp"
+#include "fnv_digest.hpp"
 
 namespace pramsim::memmap {
 namespace {
@@ -332,6 +333,84 @@ TEST(Expansion, AdversarialBatchConcentratesLoad) {
     random_batch.emplace_back(static_cast<std::uint32_t>(v));
   }
   EXPECT_GE(max_load(batch), max_load(random_batch));
+}
+
+// ------------------------------------------------ golden digests ------
+//
+// Bit-identity pins for the adversary and the expansion estimators: the
+// constants were computed with the original node-container
+// implementations, so a rewrite must reproduce every variable of every
+// batch in the same order, and every coverage figure exactly.
+
+std::uint64_t batch_digest(const MemoryMap& map,
+                           const std::vector<std::pair<std::uint32_t,
+                                                       std::uint64_t>>& calls) {
+  testing::Fnv64 digest;
+  for (const auto& [count, seed] : calls) {
+    const auto batch = adversarial_batch(map, count, seed);
+    digest.add(batch.size());
+    for (const auto v : batch) {
+      digest.add(v.value());
+    }
+  }
+  return digest.value();
+}
+
+TEST(Expansion, AdversarialBatchGoldenDigestTableMap) {
+  // count 2048 -> pool = the whole space (8 * count > m).
+  const TableMap map(1 << 14, 256, 7, 77);
+  EXPECT_EQ(batch_digest(map, {{1, 1}, {64, 2}, {256, 3}, {256, 4},
+                               {1000, 5}, {2048, 6}}),
+            0x87F44AA6AEFD2FDCULL);
+  // count == num_vars on a map with few, heavily shared modules.
+  const TableMap small(512, 32, 5, 3);
+  EXPECT_EQ(batch_digest(small, {{512, 7}, {100, 8}, {3, 9}}), 0x54E21AA136EC98C2ULL);
+}
+
+TEST(Expansion, AdversarialBatchGoldenDigestHashedMap) {
+  // The Theorem 2 stress shape: n = 256, M = m = 65536, r = 7.
+  const HashedMap map(1 << 16, 1 << 16, 7, 91);
+  EXPECT_EQ(batch_digest(map, {{256, 1}, {256, 2}, {256, 3}, {17, 4},
+                               {4096, 5}}),
+            0x3A09338FD10C3B17ULL);
+  const HashedMap small(300, 16, 3, 5);
+  EXPECT_EQ(batch_digest(small, {{300, 6}, {37, 7}, {1, 8}}), 0xE345BCE0BDCB9BB5ULL);
+}
+
+TEST(Expansion, MeasureExpansionGolden) {
+  const auto params = derive_params(256, 2.0, 1.0, 4.0);
+  const HashedMap map(params.m, params.n_modules, params.r, 17);
+  const auto res = measure_expansion(map, params.c, params.n / params.r, 6, 23);
+  EXPECT_EQ(res.q, 36u);
+  EXPECT_EQ(res.trials, 6u);
+  EXPECT_EQ(res.redundancy, 7u);
+  EXPECT_EQ(res.min_distinct, 143u);
+  EXPECT_EQ(res.mean_distinct, 860.0 / 6);
+  EXPECT_EQ(res.min_distinct_random, 143u);
+
+  // Few modules: popularity ties and shared modules everywhere.
+  const TableMap crowded(4096, 64, 7, 3);
+  const auto tight = measure_expansion(crowded, 4, 100, 5, 9, 4);
+  EXPECT_EQ(tight.min_distinct, 42u);
+  EXPECT_EQ(tight.mean_distinct, 44.0);
+  EXPECT_EQ(tight.min_distinct_random, 64u);
+}
+
+TEST(Expansion, CoverageEstimatorsGoldenDigest) {
+  const TableMap map(64, 16, 5, 13);
+  util::Rng rng(3);
+  testing::Fnv64 digest;
+  for (int trial = 0; trial < 12; ++trial) {
+    const auto picks = rng.sample_without_replacement(64, 1 + trial % 5);
+    std::vector<VarId> vars;
+    for (const auto p : picks) {
+      vars.emplace_back(static_cast<std::uint32_t>(p));
+    }
+    const std::uint32_t c = 1 + static_cast<std::uint32_t>(trial % 4);
+    digest.add(exact_min_coverage(map, c, vars));
+    digest.add(greedy_min_coverage(map, c, vars));
+  }
+  EXPECT_EQ(digest.value(), 0x0A5A76F675C46A64ULL);
 }
 
 }  // namespace

@@ -16,6 +16,8 @@
 #include "obs/journal.hpp"
 #include "obs/registry.hpp"
 #include "obs/sink.hpp"
+#include "pram/trace.hpp"
+#include "util/parallel.hpp"
 #include "util/stopwatch.hpp"
 
 namespace pramsim {
@@ -285,6 +287,49 @@ TEST(ObsPipeline, SampleIntervalZeroKeepsCountersButNoTimers) {
   const auto run = pipeline.run_stress(options);
   EXPECT_GT(run.obs.metrics.counters().at("hashed.steps"), 0u);
   EXPECT_TRUE(run.obs.phases.empty());
+}
+
+TEST(ObsPipeline, AdversaryAndTraceGenPhasesFollowStepSampling) {
+  if (!obs::kEnabled) {
+    GTEST_SKIP() << "compiled with PRAMSIM_OBS=OFF";
+  }
+  struct WorkerOverrideGuard {
+    ~WorkerOverrideGuard() { util::set_parallel_workers_override(0); }
+  } guard;
+  core::SimulationPipeline pipeline(
+      {.kind = core::SchemeKind::kDmmpc, .n = 16, .seed = 3});
+  core::StressOptions options{.steps_per_family = 6, .seed = 9, .trials = 2};
+  const std::size_t families = pram::exclusive_trace_families().size();
+
+  // Every 2nd step is timed: each trial's stages serve steps 1..6, so
+  // steps 2, 4 and 6 time their batch generation — the adversary in the
+  // adversarial stage, trace generation in each family stage (on the
+  // generator thread when double-buffered, the serving thread at 4
+  // workers).
+  options.obs = obs::SinkOptions{.sample_interval = 2};
+  std::vector<std::uint64_t> adversary_counts;
+  std::vector<std::uint64_t> trace_gen_counts;
+  for (const std::size_t workers : {1, 4}) {
+    util::set_parallel_workers_override(workers);
+    const auto run = pipeline.run_stress(options);
+    adversary_counts.push_back(run.obs.phases[obs::Phase::kAdversary].count);
+    trace_gen_counts.push_back(run.obs.phases[obs::Phase::kTraceGen].count);
+  }
+  EXPECT_EQ(adversary_counts[0], 2u * 3u);
+  EXPECT_EQ(adversary_counts[1], adversary_counts[0]);
+  EXPECT_EQ(trace_gen_counts[0], 2u * families * 3u);
+  EXPECT_EQ(trace_gen_counts[1], trace_gen_counts[0]);
+
+  // Every step timed: one record per generated batch.
+  options.obs = obs::SinkOptions{};
+  const auto every = pipeline.run_stress(options);
+  EXPECT_EQ(every.obs.phases[obs::Phase::kAdversary].count, 2u * 6u);
+  EXPECT_EQ(every.obs.phases[obs::Phase::kTraceGen].count,
+            2u * families * 6u);
+
+  // Detached runs record neither.
+  options.obs.reset();
+  EXPECT_TRUE(pipeline.run_stress(options).obs.empty());
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include "pram/trace.hpp"
 #include "util/math.hpp"
 #include "util/rng.hpp"
+#include "fnv_digest.hpp"
 
 namespace pramsim::pram {
 namespace {
@@ -548,6 +549,32 @@ TEST(Trace, MultiStepTraceHasRequestedLength) {
   for (const auto& batch : trace) {
     EXPECT_EQ(batch.size(), 16u);
   }
+}
+
+TEST(Trace, StepwiseGenerationGoldenDigest) {
+  // The stress driver serves make_trace_step's batches one at a time in
+  // place of a pre-built make_trace. Pinned with the original make_trace
+  // (one call per family): every family, with the per-step stride offset
+  // and working-set phase, access for access.
+  TraceParams params;
+  params.stride = 3;
+  params.offset = 5;
+  params.working_set_period = 2;
+  testing::Fnv64 digest;
+  for (const auto family : all_trace_families()) {
+    util::Rng rng(21);
+    for (std::size_t s = 0; s < 7; ++s) {
+      const auto batch = make_trace_step(family, 16, 256, s, rng, params);
+      digest.add(batch.size());
+      for (const auto& access : batch) {
+        digest.add(access.proc.value());
+        digest.add(static_cast<std::uint64_t>(access.op));
+        digest.add(access.var.value());
+        digest.add(access.value);
+      }
+    }
+  }
+  EXPECT_EQ(digest.value(), 0x1AB761B7EB77AA72ULL);
 }
 
 TEST(Trace, ZipfianSkewConcentratesOnHead) {

@@ -16,6 +16,7 @@
 #include "util/stopwatch.hpp"
 #include "util/strong_id.hpp"
 #include "util/table.hpp"
+#include "fnv_digest.hpp"
 
 namespace pramsim::util {
 namespace {
@@ -184,6 +185,27 @@ TEST(Rng, SampleFullRange) {
   for (std::uint64_t i = 0; i < 16; ++i) {
     EXPECT_EQ(sample[i], i);
   }
+}
+
+TEST(Rng, SampleWithoutReplacementGoldenDigest) {
+  // Bit-identity pin computed with the original unordered_set Floyd
+  // sampler: the draw sequence and the output order must not change.
+  Rng params(2024);
+  Rng rng(99);
+  testing::Fnv64 digest;
+  for (int i = 0; i < 300; ++i) {
+    // Mostly small spaces (collisions are frequent), some huge ones.
+    const std::uint64_t n =
+        i % 10 == 9 ? (1ULL << 40) + params.below(1ULL << 40)
+                    : params.below(5000);
+    const std::uint64_t k = params.below(std::min<std::uint64_t>(n, 3000) + 1);
+    const auto sample = rng.sample_without_replacement(n, k);
+    digest.add(sample.size());
+    for (const auto v : sample) {
+      digest.add(v);
+    }
+  }
+  EXPECT_EQ(digest.value(), 0x884321321CF83B54ULL);
 }
 
 TEST(Rng, BernoulliEdges) {

@@ -44,6 +44,8 @@ PHASES = {
     "encode",
     "scrub",
     "oracle",
+    "adversary",
+    "trace_gen",
 }
 
 

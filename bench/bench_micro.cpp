@@ -285,8 +285,14 @@ int main() {
     add_row(table, "mv_adversarial_vars", "n=256", m, n);
   }
 
-  for (const std::uint32_t n : {64u, 128u, 256u}) {
-    auto inst = core::make_scheme({.kind = core::SchemeKind::kHpMot, .n = n});
+  // The three 2DMOT placements: HP at every size, LPP and the crossbar
+  // at n = 256 for comparison with the HP row.
+  const std::pair<core::SchemeKind, std::uint32_t> mot_rows[] = {
+      {core::SchemeKind::kHpMot, 64},     {core::SchemeKind::kHpMot, 128},
+      {core::SchemeKind::kHpMot, 256},    {core::SchemeKind::kLppMot, 256},
+      {core::SchemeKind::kCrossbar, 256}};
+  for (const auto& [kind, n] : mot_rows) {
+    auto inst = core::make_scheme({.kind = kind, .n = n});
     util::Rng rng(8);
     const auto vars = rng.sample_without_replacement(inst.m, n);
     std::vector<majority::VarRequest> reqs;
@@ -298,8 +304,11 @@ int main() {
       inst.engine->run_step_into(reqs, out);
       do_not_optimize(out);
     }, 1);
-    add_row(table, "mot_engine_step", "n=" + std::to_string(n), m, n,
-            8.0 * n);
+    const std::string params =
+        kind == core::SchemeKind::kHpMot
+            ? "n=" + std::to_string(n)
+            : std::string(core::to_string(kind)) + " n=" + std::to_string(n);
+    add_row(table, "mot_engine_step", params, m, n, 8.0 * n);
   }
 
   {
@@ -313,9 +322,14 @@ int main() {
           static_cast<std::uint32_t>(rng.below(S)),
           static_cast<std::uint32_t>(rng.below(S)));
     }
+    // Route through one reused Router; each call only rewinds the
+    // packets, so the row times routing, not copying 512 paths.
+    net::Router router;
     const auto m = measure([&] {
-      auto packets = proto;
-      do_not_optimize(net::route_all(packets));
+      for (auto& packet : proto) {
+        packet.rewind();
+      }
+      do_not_optimize(router.route(proto));
     }, 1);
     add_row(table, "router_heavy_batch", "S=64 pkts=512", m, 512.0);
   }

@@ -1,11 +1,8 @@
 #include "core/mot_engine.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "core/prom.hpp"
-#include "network/paths.hpp"
-#include "network/router.hpp"
 #include "util/assert.hpp"
 #include "util/math.hpp"
 
@@ -26,6 +23,7 @@ MotEngine::MotEngine(std::shared_ptr<const memmap::MemoryMap> map,
   PRAMSIM_ASSERT(map_ != nullptr);
   PRAMSIM_ASSERT(config_.n_processors >= 1);
   PRAMSIM_ASSERT(map_->redundancy() == 2 * config_.c - 1);
+  PRAMSIM_ASSERT(map_->redundancy() <= 64);  // State::mask is 64 bits
   const std::uint32_t M = map_->num_modules();
   switch (config_.scheme) {
     case MotScheme::kHpLeaves: {
@@ -70,25 +68,22 @@ MotEngine::MotEngine(std::shared_ptr<const memmap::MemoryMap> map,
                  : 0);
 }
 
-std::vector<net::EdgeKey> MotEngine::round_trip_path(
-    std::uint32_t proc, std::uint32_t module) const {
-  net::Path request;
+void MotEngine::round_trip_into(net::Path& path, std::uint32_t proc,
+                                std::uint32_t module) const {
   switch (config_.scheme) {
     case MotScheme::kHpLeaves: {
       const std::uint32_t side = shape_.rows;
-      request = net::hp_request_path(side, proc, module / side, module % side,
-                                     config_.lca_turnaround);
+      net::hp_request_path_into(path, side, proc, module / side,
+                                module % side, config_.lca_turnaround);
       break;
     }
     case MotScheme::kLppRoots:
     case MotScheme::kCrossbar:
-      request = net::root_module_request_path(shape_, proc, module);
+      net::root_module_request_path_into(path, shape_, proc, module);
       break;
   }
   // Reply retraces everything but the module port.
-  net::Path back(request.begin(), request.end() - 1);
-  net::append(request, net::reversed(back));
-  return request;
+  net::append_reply(path);
 }
 
 void MotEngine::run_step_into(std::span<const majority::VarRequest> requests,
@@ -97,11 +92,33 @@ void MotEngine::run_step_into(std::span<const majority::VarRequest> requests,
   const std::uint32_t c = config_.c;
   const std::uint32_t s = std::max<std::uint32_t>(config_.cluster_size, 1);
 
-  result = {};
+  // Reset in place; the vectors keep their capacity.
+  result.time = 0;
+  result.work = 0;
   result.accessed_mask.assign(requests.size(), 0);
+  result.stats.phases = 0;
+  result.stats.stage1_phases = 0;
+  result.stats.stage2_phases = 0;
+  result.stats.live_after_stage1 = 0;
+  result.stats.max_queue = 0;
+  result.stats.live_per_phase.clear();
   if (requests.empty()) {
     return;
   }
+
+  // The next packet slot of the current phase, rewound, with id = slot.
+  // Slots (and their paths' capacity) are reused across phases and steps.
+  std::size_t n_packets = 0;
+  auto next_packet = [&]() -> net::Packet& {
+    if (n_packets == packets_.size()) {
+      packets_.emplace_back();
+    }
+    net::Packet& packet = packets_[n_packets];
+    packet.id = static_cast<std::uint32_t>(n_packets++);
+    packet.injected_at = 0;
+    packet.rewind();
+    return packet;
+  };
 
   // ---- optional P-ROM address-translation phase ----------------------
   // Before any copy access, every requester fetches its variable's map
@@ -109,51 +126,41 @@ void MotEngine::run_step_into(std::span<const majority::VarRequest> requests,
   // entry's home module). This is the paper's conclusion-section scheme;
   // with it, processors need no local O(m log rM)-bit tables.
   if (config_.prom_lookup) {
-    std::vector<net::Packet> lookups;
-    lookups.reserve(requests.size());
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      const auto home =
-          prom_home_module(requests[i].var, map_->num_modules());
-      net::Packet packet;
-      packet.id = static_cast<std::uint32_t>(i);
-      packet.path = round_trip_path(
-          requests[i].requester.value() % config_.n_processors,
-          home.value());
-      lookups.push_back(std::move(packet));
+    n_packets = 0;
+    for (const auto& request : requests) {
+      const auto home = prom_home_module(request.var, map_->num_modules());
+      round_trip_into(next_packet().path,
+                      request.requester.value() % config_.n_processors,
+                      home.value());
     }
-    const auto report = net::route_all(lookups, /*max_cycles=*/1'000'000);
-    PRAMSIM_ASSERT_MSG(report.delivered == lookups.size(),
+    const auto report = router_.route(
+        std::span<net::Packet>(packets_.data(), n_packets),
+        /*max_cycles=*/1'000'000);
+    PRAMSIM_ASSERT_MSG(report.delivered == n_packets,
                        "P-ROM lookup phase failed to complete");
     result.time += report.cycles;
     prom_cycles_ += report.cycles;
   }
 
-  struct State {
-    std::uint32_t cluster = 0;
-    std::uint32_t member = 0;
-    std::uint32_t accessed = 0;
-    std::uint64_t mask = 0;
-    bool dead = false;
-    std::vector<ModuleId> copies;
-  };
-  std::vector<State> states(requests.size());
+  states_.assign(requests.size(), State{});
+  copies_.resize(requests.size() * r);
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    states[i].cluster = requests[i].requester.value() / s;
-    states[i].member = requests[i].requester.value() % s;
-    states[i].copies = map_->copies(requests[i].var);
+    states_[i].cluster = requests[i].requester.value() / s;
+    map_->copies_into(requests[i].var,
+                      std::span<ModuleId>(copies_).subspan(i * r, r));
   }
+  std::uint64_t live = requests.size();  // requests not yet dead
 
   const std::uint32_t n_clusters = (config_.n_processors + s - 1) / s;
   std::uint64_t budget = phase_budget_;
-  std::uint32_t packet_id = 0;
 
   // Runs one routed phase for the given active request indices; returns
   // the number of copy accesses completed.
-  auto run_phase = [&](const std::vector<std::uint32_t>& active) {
-    std::vector<net::Packet> packets;
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> origin;  // req, copy
+  auto run_phase = [&](std::span<const std::uint32_t> active) {
+    n_packets = 0;
+    origin_.clear();
     for (const auto idx : active) {
-      State& st = states[idx];
+      const State& st = states_[idx];
       if (st.dead) {
         continue;
       }
@@ -166,18 +173,18 @@ void MotEngine::run_step_into(std::span<const majority::VarRequest> requests,
         // injecting (injected_at staggers same-source packets).
         const std::uint32_t proc =
             (st.cluster * s + copy % s) % config_.n_processors;
-        net::Packet packet;
-        packet.id = packet_id++;
+        net::Packet& packet = next_packet();
         packet.injected_at = copy / s;  // serialize a member's own packets
-        packet.path = round_trip_path(proc, st.copies[copy].value());
-        packets.push_back(std::move(packet));
-        origin.emplace_back(static_cast<std::uint32_t>(idx), copy);
+        round_trip_into(packet.path, proc,
+                        copies_[std::size_t{idx} * r + copy].value());
+        origin_.emplace_back(idx, copy);
       }
     }
-    if (packets.empty()) {
+    if (n_packets == 0) {
       return std::uint64_t{0};
     }
-    const auto report = net::route_all(packets, budget);
+    const std::span<net::Packet> packets(packets_.data(), n_packets);
+    const auto report = router_.route(packets, budget);
     result.time += report.cycles + phase_overhead_;
     result.stats.max_queue =
         std::max(result.stats.max_queue, report.max_edge_queue);
@@ -186,98 +193,90 @@ void MotEngine::run_step_into(std::span<const majority::VarRequest> requests,
       if (!packets[p].delivered()) {
         continue;
       }
-      State& st = states[origin[p].first];
+      State& st = states_[origin_[p].first];
       if (st.dead) {
         continue;  // copies beyond c still count as work, not access
       }
-      st.mask |= 1ULL << origin[p].second;
+      st.mask |= 1ULL << origin_[p].second;
       ++st.accessed;
       ++completed;
       ++result.work;
       if (st.accessed >= c) {
         st.dead = true;
+        --live;
       }
     }
     ++result.stats.phases;
-    result.stats.live_per_phase.push_back(static_cast<std::uint64_t>(
-        std::count_if(states.begin(), states.end(),
-                      [](const State& st) { return !st.dead; })));
+    result.stats.live_per_phase.push_back(live);
     return completed;
   };
 
-  auto all_dead = [&] {
-    return std::all_of(states.begin(), states.end(),
-                       [](const State& st) { return st.dead; });
-  };
-
   // ---- stage 1: interleaved cluster turns ----------------------------
-  std::unordered_map<std::uint64_t, std::uint32_t> slot;
-  for (std::uint32_t i = 0; i < states.size(); ++i) {
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(states[i].cluster) << 32) |
-        states[i].member;
-    slot[key] = i;
+  // Turn (cluster k, member j) belongs to requester k * s + j; when
+  // several requests share a requester the last one holds the turn, and
+  // requesters past the last cluster (>= n_clusters * s) get none.
+  constexpr std::uint32_t kNoRequest = ~0U;
+  slot_.assign(std::size_t{n_clusters} * s, kNoRequest);
+  for (std::uint32_t i = 0; i < states_.size(); ++i) {
+    const std::uint32_t requester = requests[i].requester.value();
+    if (requester < slot_.size()) {
+      slot_[requester] = i;
+    }
   }
   const std::uint64_t stage1_phases =
       static_cast<std::uint64_t>(config_.stage1_turns) * s;
-  std::vector<std::uint32_t> active;
-  for (std::uint64_t phase = 0; phase < stage1_phases && !all_dead();
+  for (std::uint64_t phase = 0; phase < stage1_phases && live > 0;
        ++phase) {
-    active.clear();
+    active_.clear();
     for (std::uint32_t k = 0; k < n_clusters; ++k) {
       const auto member = static_cast<std::uint32_t>((phase + k) % s);
-      const auto it =
-          slot.find((static_cast<std::uint64_t>(k) << 32) | member);
-      if (it != slot.end() && !states[it->second].dead) {
-        active.push_back(it->second);
+      const std::uint32_t idx = slot_[std::size_t{k} * s + member];
+      if (idx != kNoRequest && !states_[idx].dead) {
+        active_.push_back(idx);
       }
     }
-    if (active.empty()) {
+    if (active_.empty()) {
       continue;
     }
-    run_phase(active);
+    run_phase(active_);
     ++result.stats.stage1_phases;
   }
-  result.stats.live_after_stage1 = static_cast<std::uint64_t>(
-      std::count_if(states.begin(), states.end(),
-                    [](const State& st) { return !st.dead; }));
+  result.stats.live_after_stage1 = live;
 
   // ---- stage 2: drain leftovers, one variable per cluster ------------
-  std::vector<std::uint32_t> pending;
-  for (std::uint32_t i = 0; i < states.size(); ++i) {
-    if (!states[i].dead) {
-      pending.push_back(i);
+  pending_.clear();
+  for (std::uint32_t i = 0; i < states_.size(); ++i) {
+    if (!states_[i].dead) {
+      pending_.push_back(i);
     }
   }
   std::size_t next_pending = 0;
-  std::vector<std::uint32_t> assigned;
+  assigned_.clear();
   auto refill = [&] {
-    assigned.erase(
-        std::remove_if(assigned.begin(), assigned.end(),
-                       [&](std::uint32_t i) { return states[i].dead; }),
-        assigned.end());
-    while (assigned.size() < n_clusters && next_pending < pending.size()) {
-      const auto i = pending[next_pending++];
-      if (!states[i].dead) {
-        assigned.push_back(i);
+    std::erase_if(assigned_, [&](std::uint32_t i) { return states_[i].dead; });
+    while (assigned_.size() < n_clusters && next_pending < pending_.size()) {
+      const auto i = pending_[next_pending++];
+      if (!states_[i].dead) {
+        assigned_.push_back(i);
       }
     }
   };
   refill();
-  while (!assigned.empty()) {
-    const auto completed = run_phase(assigned);
+  while (!assigned_.empty()) {
+    const auto completed = run_phase(assigned_);
     ++result.stats.stage2_phases;
     if (completed == 0) {
       // Phase budget too tight for the current congestion; widen it so
-      // the protocol always terminates (never triggers at the defaults).
+      // the protocol always terminates (never triggers at the default
+      // budget; a phase_budget_cycles below one round trip always does).
       budget *= 2;
     }
     refill();
   }
 
-  for (std::size_t i = 0; i < states.size(); ++i) {
-    PRAMSIM_ASSERT(states[i].accessed >= c);
-    result.accessed_mask[i] = states[i].mask;
+  for (std::size_t i = 0; i < states_.size(); ++i) {
+    PRAMSIM_ASSERT(states_[i].accessed >= c);
+    result.accessed_mask[i] = states_[i].mask;
   }
 }
 

@@ -30,9 +30,13 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "majority/engine.hpp"
 #include "memmap/memory_map.hpp"
+#include "network/paths.hpp"
+#include "network/router.hpp"
 #include "network/topology.hpp"
 
 namespace pramsim::core {
@@ -90,8 +94,18 @@ class MotEngine final : public majority::AccessEngine {
   [[nodiscard]] std::uint64_t prom_cycles() const { return prom_cycles_; }
 
  private:
-  [[nodiscard]] std::vector<net::EdgeKey> round_trip_path(
-      std::uint32_t proc, std::uint32_t module) const;
+  /// Per-request protocol state of the current step.
+  struct State {
+    std::uint32_t cluster = 0;
+    std::uint32_t accessed = 0;
+    std::uint64_t mask = 0;  ///< copies accessed (bit per copy; r <= 64)
+    bool dead = false;       ///< reached c accesses
+  };
+
+  /// Overwrite `path` with the round trip from processor `proc` to
+  /// `module` and back.
+  void round_trip_into(net::Path& path, std::uint32_t proc,
+                       std::uint32_t module) const;
 
   std::shared_ptr<const memmap::MemoryMap> map_;
   MotEngineConfig config_;
@@ -100,6 +114,19 @@ class MotEngine final : public majority::AccessEngine {
   std::uint64_t phase_budget_ = 0;
   std::uint64_t phase_overhead_ = 0;
   std::uint64_t prom_cycles_ = 0;
+
+  // Step scratch, grown on demand and reused across phases and steps.
+  std::vector<State> states_;
+  std::vector<ModuleId> copies_;      ///< requests x r, row per request
+  std::vector<net::Packet> packets_;  ///< this phase's packets first
+  /// Per packet of the phase: (request index, copy index).
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> origin_;
+  /// Stage-1 turn owner per requester id (cluster * s + member).
+  std::vector<std::uint32_t> slot_;
+  std::vector<std::uint32_t> active_;
+  std::vector<std::uint32_t> pending_;
+  std::vector<std::uint32_t> assigned_;
+  net::Router router_;
 };
 
 }  // namespace pramsim::core

@@ -54,4 +54,19 @@ void append(Path& path, const Path& suffix);
                                             std::uint32_t proc_row,
                                             std::uint32_t mod_col);
 
+/// In-place forms of the two request routes: overwrite `out`, reusing its
+/// capacity (the engines' per-phase packet buffers).
+void hp_request_path_into(Path& out, std::uint32_t side,
+                          std::uint32_t proc_row, std::uint32_t mod_row,
+                          std::uint32_t mod_col, bool lca_turnaround = false);
+void root_module_request_path_into(Path& out, const MotShape& shape,
+                                   std::uint32_t proc_row,
+                                   std::uint32_t mod_col);
+
+/// Turn a request route ending at a module port into the full round trip:
+/// append the reply, which retraces every edge but the port in reverse
+/// with flipped directions. Equals append(path, reversed(path minus its
+/// last edge)) without the temporaries.
+void append_reply(Path& path);
+
 }  // namespace pramsim::net

@@ -4,6 +4,7 @@
 // simulating machine.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <memory>
 #include <span>
 #include <unordered_set>
@@ -19,6 +20,7 @@
 #include "pram/trace.hpp"
 #include "util/math.hpp"
 #include "util/rng.hpp"
+#include "fnv_digest.hpp"
 
 namespace pramsim::core {
 namespace {
@@ -158,6 +160,118 @@ TEST(MotEngine, Stage1BoundsLiveSet) {
   const auto reqs = distinct_requests(128, inst.m, 13);
   const auto result = run(*inst.engine, reqs);
   EXPECT_LE(result.stats.live_after_stage1, 128u / inst.r + 1);
+}
+
+/// A batch whose requesters repeat: every fourth request reuses the
+/// previous request's processor (the last one wins its stage-1 turn).
+std::vector<VarRequest> duplicate_requester_batch(std::uint32_t n,
+                                                  std::uint64_t m,
+                                                  std::uint64_t seed) {
+  auto reqs = distinct_requests(n / 2, m, seed);
+  for (std::size_t i = 3; i < reqs.size(); i += 4) {
+    reqs[i].requester = reqs[i - 1].requester;
+  }
+  return reqs;
+}
+
+/// A batch with requesters at and beyond n: some fall in the last
+/// cluster's padding (n <= p < clusters * cluster_size), some far past it.
+std::vector<VarRequest> overflow_requester_batch(std::uint32_t n,
+                                                 std::uint64_t m,
+                                                 std::uint64_t seed) {
+  auto reqs = distinct_requests(n / 4 + 3, m, seed);
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    const auto k = static_cast<std::uint32_t>(i);
+    if (i % 3 == 1) {
+      reqs[i].requester = ProcId(n + k % 3);
+    } else if (i % 3 == 2) {
+      reqs[i].requester = ProcId(5 * n + k);
+    }
+  }
+  return reqs;
+}
+
+void fold_result(testing::Fnv64& digest, const majority::EngineResult& r) {
+  digest.add(r.time);
+  digest.add(r.work);
+  digest.add(r.accessed_mask.size());
+  for (const auto mask : r.accessed_mask) {
+    digest.add(mask);
+  }
+  digest.add(r.stats.phases);
+  digest.add(r.stats.stage1_phases);
+  digest.add(r.stats.stage2_phases);
+  digest.add(r.stats.live_per_phase.size());
+  for (const auto live : r.stats.live_per_phase) {
+    digest.add(live);
+  }
+  digest.add(r.stats.live_after_stage1);
+  digest.add(r.stats.max_queue);
+}
+
+// Bit-identity pin for the cycle-accurate engines: the constant was
+// computed with the original allocating engine and hash-map router, so
+// a rewrite must reproduce every EngineResult field of every step. One
+// engine serves several batch shapes in turn, so scratch reused across
+// steps is covered too.
+TEST(MotEngine, GoldenDigestAllPlacements) {
+  struct Case {
+    SchemeKind kind;
+    bool lca;
+  };
+  testing::Fnv64 digest;
+  for (const auto& [kind, lca] :
+       {Case{SchemeKind::kHpMot, false}, Case{SchemeKind::kHpMot, true},
+        Case{SchemeKind::kLppMot, false}, Case{SchemeKind::kCrossbar, false}}) {
+    for (const std::uint32_t n : {16u, 64u, 256u}) {
+      auto inst = make_scheme({.kind = kind, .n = n, .lca_turnaround = lca});
+      const auto full = distinct_requests(n, inst.m, n + 1);
+      fold_result(digest, run(*inst.engine, full));
+      fold_result(digest,
+                  run(*inst.engine, duplicate_requester_batch(n, inst.m, n + 2)));
+      fold_result(digest,
+                  run(*inst.engine, overflow_requester_batch(n, inst.m, n + 3)));
+      fold_result(digest, run(*inst.engine, full));
+    }
+  }
+  auto prom = make_scheme(
+      {.kind = SchemeKind::kHpMot, .n = 64, .prom_lookup = true});
+  fold_result(digest, run(*prom.engine, distinct_requests(64, prom.m, 5)));
+  fold_result(digest,
+              run(*prom.engine, duplicate_requester_batch(64, prom.m, 6)));
+  fold_result(digest,
+              run(*prom.engine, overflow_requester_batch(64, prom.m, 7)));
+  digest.add(dynamic_cast<const MotEngine&>(*prom.engine).prom_cycles());
+  EXPECT_EQ(digest.value(), 0xC1A545AFCB117048ULL);
+}
+
+// A phase budget below one round trip completes nothing in stage 1, so
+// stage 2 must widen the budget until phases deliver again.
+TEST(MotEngine, TightPhaseBudgetWidensAndTerminates) {
+  auto inst = make_scheme({.kind = SchemeKind::kHpMot, .n = 16});
+  MotEngineConfig cfg;
+  cfg.scheme = MotScheme::kHpLeaves;
+  cfg.n_processors = 16;
+  cfg.c = inst.c;
+  cfg.cluster_size = inst.r;
+  cfg.phase_budget_cycles = 3;
+  MotEngine tight(inst.map, cfg);
+  ASSERT_LT(cfg.phase_budget_cycles, 2 * tight.request_hops() - 1);
+  const auto reqs = distinct_requests(16, inst.m, 21);
+  const auto a = run(tight, reqs);
+  const auto b = run(tight, reqs);
+  ASSERT_EQ(a.accessed_mask.size(), reqs.size());
+  for (const auto mask : a.accessed_mask) {
+    EXPECT_GE(static_cast<std::uint32_t>(std::popcount(mask)), inst.c);
+  }
+  EXPECT_GT(a.stats.stage2_phases, 0u);
+  EXPECT_EQ(a.time, b.time);
+  EXPECT_EQ(a.work, b.work);
+  EXPECT_EQ(a.accessed_mask, b.accessed_mask);
+  EXPECT_EQ(a.stats.live_per_phase, b.stats.live_per_phase);
+  // Every request is still alive after stage 1: nothing fit the budget.
+  EXPECT_EQ(a.stats.live_after_stage1, reqs.size());
+  EXPECT_GT(a.time, run(*inst.engine, reqs).time);
 }
 
 // ---------------------------------------------------------- driver ------

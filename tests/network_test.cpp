@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <set>
 #include <unordered_set>
 
@@ -11,6 +12,7 @@
 #include "network/topology.hpp"
 #include "util/math.hpp"
 #include "util/rng.hpp"
+#include "fnv_digest.hpp"
 
 namespace pramsim::net {
 namespace {
@@ -319,6 +321,135 @@ TEST(Router, ReplyPathsAlsoRoute) {
   const auto r2 = route_all(leg2, 10'000);
   EXPECT_EQ(r2.delivered, 1u);
   EXPECT_EQ(leg2[0].delivered_at, 2 * request.size());
+}
+
+// -------------------------------------------------- golden digests ------
+// Bit-identity pins for the router: the constants were computed with the
+// original per-cycle hash-map router, so a rewrite must reproduce every
+// RouteReport field and every packet's final state exactly.
+
+void fold_route(testing::Fnv64& digest, const RouteReport& report,
+                const std::vector<Packet>& packets) {
+  digest.add(report.cycles);
+  digest.add(report.delivered);
+  digest.add(report.total_hops);
+  digest.add(report.max_edge_queue);
+  digest.add(std::bit_cast<std::uint64_t>(report.mean_latency));
+  digest.add(report.max_latency);
+  for (const auto& p : packets) {
+    digest.add(p.delivered_at);
+    digest.add(p.next_edge);
+  }
+}
+
+/// `count` random HP requests on an S x S 2DMOT, injections staggered
+/// over [inject_base, inject_base + inject_spread).
+std::vector<Packet> random_hp_batch(std::uint32_t S, std::uint32_t count,
+                                    std::uint64_t seed, bool lca,
+                                    std::uint64_t inject_base = 0,
+                                    std::uint64_t inject_spread = 8) {
+  util::Rng rng(seed);
+  std::vector<Packet> packets(count);
+  for (std::uint32_t p = 0; p < count; ++p) {
+    packets[p].id = p;
+    const auto l = static_cast<std::uint32_t>(rng.below(S));
+    const auto i = static_cast<std::uint32_t>(rng.below(S));
+    const auto j = static_cast<std::uint32_t>(rng.below(S));
+    packets[p].path = hp_request_path(S, l, i, j, lca);
+    packets[p].injected_at = inject_base + rng.below(inject_spread);
+  }
+  return packets;
+}
+
+TEST(Router, GoldenDigestHeavyHpBatches) {
+  testing::Fnv64 digest;
+  for (const std::uint32_t S : {16u, 64u}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      auto packets = random_hp_batch(S, 8 * S, seed, seed == 2);
+      fold_route(digest, route_all(packets), packets);
+    }
+  }
+  EXPECT_EQ(digest.value(), 0x6FDF1711506846F1ULL);
+}
+
+TEST(Router, GoldenDigestCutoffAndResume) {
+  testing::Fnv64 digest;
+  auto packets = random_hp_batch(64, 512, 4, false);
+  // Cut off mid-flight, then resume the survivors on the same clock.
+  fold_route(digest, route_all(packets, /*max_cycles=*/20), packets);
+  fold_route(digest, route_all(packets, 1'000'000, /*start_cycle=*/20),
+             packets);
+  EXPECT_EQ(digest.value(), 0x50D0AC0A5624C046ULL);
+}
+
+TEST(Router, GoldenDigestStartCycle) {
+  testing::Fnv64 digest;
+  // Injections straddle the start cycle: some held past it, some before.
+  auto packets = random_hp_batch(16, 96, 5, false, 995, 10);
+  Packet empty;  // an empty path is delivered at once
+  empty.id = 96;
+  packets.push_back(empty);
+  fold_route(digest, route_all(packets, 1'000'000, /*start_cycle=*/1000),
+             packets);
+  EXPECT_EQ(digest.value(), 0xF46F214C9545B2BBULL);
+}
+
+TEST(Router, GoldenDigestRootModuleAndRoundTripPaths) {
+  testing::Fnv64 digest;
+  util::Rng rng(6);
+  for (const auto shape : {square_mot(32), rect_mot(16, 64)}) {
+    std::vector<Packet> packets(6 * shape.rows);
+    for (std::uint32_t p = 0; p < packets.size(); ++p) {
+      packets[p].id = p;
+      packets[p].path = root_module_request_path(
+          shape, static_cast<std::uint32_t>(rng.below(shape.rows)),
+          static_cast<std::uint32_t>(rng.below(shape.cols)));
+      packets[p].injected_at = rng.below(4);
+    }
+    fold_route(digest, route_all(packets), packets);
+  }
+  // Engine-style round trips: request, then the reply minus the port.
+  std::vector<Packet> trips(256);
+  for (std::uint32_t p = 0; p < trips.size(); ++p) {
+    trips[p].id = p;
+    Path path = hp_request_path(
+        32, static_cast<std::uint32_t>(rng.below(32)),
+        static_cast<std::uint32_t>(rng.below(32)),
+        static_cast<std::uint32_t>(rng.below(32)), p % 3 == 0);
+    const Path back(path.begin(), path.end() - 1);
+    append(path, reversed(back));
+    trips[p].path = std::move(path);
+    trips[p].injected_at = p % 7 == 0 ? 1 : 0;
+  }
+  fold_route(digest, route_all(trips, 60), trips);
+  EXPECT_EQ(digest.value(), 0x5CF0C8257AE8AF7AULL);
+}
+
+// The FIFO winner is the minimum of (waiting_since, id), a strict total
+// order for distinct ids, so routing must not depend on the order the
+// packets are listed in.
+TEST(Router, OrderInvariantUnderPacketPermutation) {
+  for (const std::uint64_t max_cycles : {1'000'000ULL, 25ULL}) {
+    for (std::uint64_t seed = 7; seed <= 9; ++seed) {
+      auto base = random_hp_batch(32, 384, seed, seed == 8);
+      auto permuted = base;
+      util::Rng rng(seed + 100);
+      rng.shuffle(permuted);
+      const auto ra = route_all(base, max_cycles);
+      const auto rb = route_all(permuted, max_cycles);
+      EXPECT_EQ(ra.cycles, rb.cycles);
+      EXPECT_EQ(ra.delivered, rb.delivered);
+      EXPECT_EQ(ra.total_hops, rb.total_hops);
+      EXPECT_EQ(ra.max_edge_queue, rb.max_edge_queue);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(ra.mean_latency),
+                std::bit_cast<std::uint64_t>(rb.mean_latency));
+      EXPECT_EQ(ra.max_latency, rb.max_latency);
+      for (const auto& p : permuted) {
+        EXPECT_EQ(p.delivered_at, base[p.id].delivered_at) << p.id;
+        EXPECT_EQ(p.next_edge, base[p.id].next_edge) << p.id;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 
 Stdlib-only, used by the CI bench smoke:
 
-    python3 tools/check_bench_baseline.py BASELINE.json FRESH.json
+    python3 tools/check_bench_baseline.py [--exact] BASELINE.json FRESH.json
 
 The committed baselines at the repo root pin the SHAPE of the perf
 trajectory, not the numbers: experiment id, schema version, the set of
@@ -11,6 +11,12 @@ tables (titles and column headers, order-sensitive), and the manifest
 key set must match. Measured values are machine-dependent and are NOT
 compared — a perf regression shows up in the trajectory, not as a CI
 failure; a silently dropped table or renamed column does fail.
+
+--exact additionally requires every table row to equal the baseline's,
+value for value. Use it only for benches whose tables hold the paper's
+deterministic cost model (rounds/cycles, copy accesses) and no host
+time. The manifest still gets only the key-set check: some of its
+values (`workers`) depend on the host.
 
 Exits non-zero with one message per violation.
 """
@@ -27,7 +33,7 @@ def load(path, errors):
         return None
 
 
-def check(baseline, fresh, errors):
+def check(baseline, fresh, errors, exact=False):
     for key in ("experiment", "schema_version"):
         if baseline.get(key) != fresh.get(key):
             errors.append(
@@ -73,6 +79,21 @@ def check(baseline, fresh, errors):
                           f"  fresh:    {new.get('headers')!r}")
         if not new.get("rows"):
             errors.append(f"{where}: fresh table has no rows")
+        elif exact:
+            check_rows(where, base.get("rows") or [], new["rows"], errors)
+
+
+def check_rows(where, base_rows, fresh_rows, errors):
+    """Exact mode: every row value must equal the baseline's."""
+    if len(base_rows) != len(fresh_rows):
+        errors.append(f"{where}: row count changed: baseline "
+                      f"{len(base_rows)} vs fresh {len(fresh_rows)}")
+        return
+    for j, (base, new) in enumerate(zip(base_rows, fresh_rows)):
+        if base != new:
+            errors.append(f"{where}.rows[{j}] changed:\n"
+                          f"  baseline: {base!r}\n"
+                          f"  fresh:    {new!r}")
 
 
 def _skeleton(title):
@@ -81,20 +102,23 @@ def _skeleton(title):
 
 
 def main():
-    if len(sys.argv) != 3:
+    args = sys.argv[1:]
+    exact = args[:1] == ["--exact"]
+    paths = args[1:] if exact else args
+    if len(paths) != 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     errors = []
-    baseline = load(sys.argv[1], errors)
-    fresh = load(sys.argv[2], errors)
+    baseline = load(paths[0], errors)
+    fresh = load(paths[1], errors)
     if baseline is not None and fresh is not None:
-        check(baseline, fresh, errors)
+        check(baseline, fresh, errors, exact)
     if errors:
         for err in errors:
             print(f"check_bench_baseline: {err}", file=sys.stderr)
         return 1
-    print(f"check_bench_baseline: {sys.argv[2]} matches the shape of "
-          f"{sys.argv[1]}")
+    what = "the shape and values" if exact else "the shape"
+    print(f"check_bench_baseline: {paths[1]} matches {what} of {paths[0]}")
     return 0
 
 

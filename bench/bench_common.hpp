@@ -44,7 +44,7 @@ struct RunManifest {
   std::size_t workers =
       util::parallel_workers(1u << 20);  ///< realized worker ceiling
   std::uint32_t region_width = 0;        ///< region granularity (0 = n/a)
-  std::string backend;       ///< serve backend, e.g. "group-parallel"
+  std::string backend;       ///< serve backend, e.g. "serial"
   bool obs_enabled = false;  ///< observability attached during timing?
 
   [[nodiscard]] std::string to_json() const {

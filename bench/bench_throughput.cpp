@@ -15,7 +15,6 @@
 #include "core/schemes.hpp"
 #include "pram/serve_context.hpp"
 #include "pram/trace.hpp"
-#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
@@ -40,20 +39,10 @@ std::vector<pram::AccessBatch> make_bench_trace(std::uint32_t n,
   return trace;
 }
 
-/// Serve-path throughput of one backend at a pinned executor worker
-/// count (0 = the hardware-aware automatic policy), through the v2
-/// context entry over prebuilt plans. The worker override steers
-/// Executor::plan_workers; ">1 workers" really fans chunks across the
-/// parked pool even when the host has fewer cores than that (the forced
-/// columns chart dispatch overhead; the auto column is what the
-/// pipeline actually runs). Caveat for reading the w1 column: MvMemory
-/// takes the group loop at any worker count, but MajorityMemory falls
-/// back to its plain value loops when only one chunk would run — so for
-/// kDmmpc, w1-vs-w2 differences mix group-indirection cost with
-/// dispatch cost; only the kHashed rows isolate dispatch overhead.
-double measure_backend(const core::SchemeSpec& spec,
-                       const std::vector<pram::AccessBatch>& trace,
-                       std::size_t workers, double budget_sec) {
+/// Serve-path throughput through MemorySystem::serve over prebuilt plans.
+double measure_serve(const core::SchemeSpec& spec,
+                     const std::vector<pram::AccessBatch>& trace,
+                     double budget_sec) {
   auto memory = core::make_memory(spec);
   std::vector<std::unique_ptr<core::PlanBuilder>> builders;
   std::vector<const pram::AccessPlan*> plans;
@@ -64,10 +53,8 @@ double measure_backend(const core::SchemeSpec& spec,
     plans.push_back(&builders.back()->build(batch, *memory));
   }
 
-  util::Executor executor;
-  pram::ServeContext ctx({}, &executor);
+  pram::ServeContext ctx;
   std::vector<pram::Word> values;
-  util::set_parallel_workers_override(workers);
   for (const auto* plan : plans) {  // warm-up pass
     values.resize(plan->reads.size());
     ctx.bind(values);
@@ -85,7 +72,6 @@ double measure_backend(const core::SchemeSpec& spec,
     steps += plans.size();
     elapsed = watch.elapsed_seconds();
   } while (elapsed < budget_sec);
-  util::set_parallel_workers_override(0);
   return static_cast<double>(steps) / elapsed;
 }
 
@@ -94,8 +80,9 @@ double measure_backend(const core::SchemeSpec& spec,
 int main() {
   bench::Reporter reporter(
       "throughput", "serve-path throughput over prebuilt plans",
-      "the kGroupParallel backend serves >= 1.3x the serial backend on "
-      "kDmmpc or kHashed at n = 2^12 (auto worker policy)");
+      "records steps/s of every SchemeKind's serial serve loop and the "
+      "stress pipeline's cost of attached observability; no speedup "
+      "threshold is claimed");
 
   {
     util::Table table({"scheme", "n", "m", "region w", "steps/s"});
@@ -112,7 +99,7 @@ int main() {
     for (const auto kind : core::all_scheme_kinds()) {
       configs.push_back({kind, 256, 0.2});
     }
-    // The two schemes with group-parallel serve, at production-ish scale.
+    // Production-ish scale for a replicated and a hashed scheme.
     configs.push_back({core::SchemeKind::kDmmpc, 4096, 0.5});
     configs.push_back({core::SchemeKind::kHashed, 4096, 0.5});
     // Region-granular storage rows (same traffic, wide rows): the value
@@ -131,56 +118,7 @@ int main() {
                      static_cast<std::int64_t>(config.n),
                      static_cast<std::int64_t>(instance.m),
                      static_cast<std::int64_t>(instance.region_words),
-                     measure_backend(spec, trace, 0, config.budget)});
-      std::fflush(stdout);
-    }
-    reporter.table(table, 1);
-  }
-
-  {
-    // The parallel-serve trajectory: serial backend vs kGroupParallel at
-    // 1/2/4 executor workers, same prebuilt plans, same context entry.
-    // Group-parallel wins twice — the precomputed groups replace the
-    // per-request placement hashing in the load loop, and the value
-    // phase fans across the parked worker pool.
-    util::Table table({"scheme", "n", "region w", "steps/s serial",
-                       "steps/s gp", "gp / serial", "steps/s gp 1wk",
-                       "steps/s gp 2wk", "steps/s gp 4wk"});
-    table.set_title("group-parallel serve backend (plan module groups "
-                    "fanned across ServeContext executor workers; 'gp' = "
-                    "hardware-aware auto policy, wN = forced N workers)");
-    struct Config {
-      core::SchemeKind kind;
-      std::uint32_t n;
-      double budget;
-      std::uint32_t region = 1;
-    };
-    const std::vector<Config> configs = {
-        {core::SchemeKind::kDmmpc, 256, 0.2},
-        {core::SchemeKind::kHashed, 256, 0.2},
-        {core::SchemeKind::kDmmpc, 4096, 0.4},
-        {core::SchemeKind::kHashed, 4096, 0.4},
-        // Width sweep: backend x region granularity on the same traffic.
-        {core::SchemeKind::kDmmpc, 4096, 0.4, 8},
-        {core::SchemeKind::kDmmpc, 4096, 0.4, 64},
-    };
-    for (const auto& config : configs) {
-      core::SchemeSpec spec{.kind = config.kind, .n = config.n, .seed = 3,
-                            .region_words = config.region};
-      const auto instance = core::make_scheme(spec);
-      const std::size_t steps = config.n >= 4096 ? 8 : 16;
-      const auto trace = make_bench_trace(config.n, instance.m, steps);
-      const double serial =
-          measure_backend(spec, trace, 0, config.budget);
-      spec.backend = pram::ServeBackend::kGroupParallel;
-      const double gp_auto = measure_backend(spec, trace, 0, config.budget);
-      const double gp1 = measure_backend(spec, trace, 1, config.budget);
-      const double gp2 = measure_backend(spec, trace, 2, config.budget);
-      const double gp4 = measure_backend(spec, trace, 4, config.budget);
-      table.add_row({core::to_string(config.kind),
-                     static_cast<std::int64_t>(config.n),
-                     static_cast<std::int64_t>(instance.region_words),
-                     serial, gp_auto, gp_auto / serial, gp1, gp2, gp4});
+                     measure_serve(spec, trace, config.budget)});
       std::fflush(stdout);
     }
     reporter.table(table, 1);
@@ -224,7 +162,7 @@ int main() {
   bench::RunManifest manifest;
   manifest.scheme = "kind sweep (see table rows)";
   manifest.seed = 3;
-  manifest.backend = "serial + group-parallel (per table)";
+  manifest.backend = "serial";
   manifest.obs_enabled = false;  // timed loops run detached by default
   reporter.set_manifest(manifest);
 

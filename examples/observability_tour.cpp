@@ -82,11 +82,7 @@ int main() {
       std::string("{\"scheme\": \"HP-DMMPC\", \"n\": 16, \"seed\": 3, ") +
       "\"workers\": " +
       std::to_string(util::parallel_workers(1u << 20)) +
-      ", \"backend\": \"" +
-      (pipeline.scheme().backend == pram::ServeBackend::kGroupParallel
-           ? "group-parallel"
-           : "serial") +
-      "\", \"obs_enabled\": true}";
+      ", \"backend\": \"serial\", \"obs_enabled\": true}";
   const std::string json = obs::to_json(run.obs, snapshot);
   const char* path = "OBS_snapshot.json";
   std::FILE* f = std::fopen(path, "w");

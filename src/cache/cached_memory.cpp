@@ -357,7 +357,6 @@ pram::MemStepCost CachedMemory::serve(const pram::AccessPlan& plan,
       residual_reads_, residual_writes_, *inner_);
   residual_values_.assign(residual_reads_.size(), 0);
   residual_ctx_.bind(residual_values_);
-  residual_ctx_.set_executor(ctx.executor());
   // The inner scheme is always served (even an empty residual), so its
   // step clock stays aligned with ours — fault onsets and scrub stamps
   // compare against one consistent clock across the layers.

@@ -40,12 +40,9 @@
 // the inner scheme. No dirty line then outlives a death, so losses show
 // exactly as in an uncached run and snapshot() never changes a value.
 //
-// Determinism: all cache state lives on the serving thread. The residual
-// plan hands the caller's executor through to the inner scheme, so a
-// group-parallel inner backend still fans residual groups across
-// workers — but hit/miss classification, eviction order, and telemetry
-// are serial, keeping results and obs snapshots bit-identical at any
-// worker count.
+// Determinism: all cache state lives on the serving thread; hit/miss
+// classification, eviction order, and telemetry are serial, keeping
+// results and obs snapshots bit-identical at any worker count.
 #pragma once
 
 #include <cstdint>
@@ -103,13 +100,6 @@ class CachedMemory final : public pram::MemorySystem {
     return inner_->plan_group_of(var);
   }
   [[nodiscard]] bool wants_plan_groups() const override { return false; }
-  [[nodiscard]] std::uint32_t capabilities() const override { return 0; }
-  /// Backend selection passes through: the inner scheme may serve the
-  /// residual plan group-parallel even though the cache front is serial.
-  pram::ServeBackend set_serve_backend(
-      pram::ServeBackend backend) override {
-    return inner_->set_serve_backend(backend);
-  }
 
   [[nodiscard]] std::uint64_t size() const override {
     return inner_->size();

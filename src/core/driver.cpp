@@ -151,9 +151,8 @@ struct TraceSteps {
 /// configuration of it.
 class StepLoop {
  public:
-  StepLoop(pram::MemorySystem& memory, util::Executor* executor,
-           obs::Sink* sink)
-      : memory_(memory), sink_(sink), ctx_({}, executor) {}
+  StepLoop(pram::MemorySystem& memory, obs::Sink* sink)
+      : memory_(memory), sink_(sink) {}
 
   StepLoop& then(Hook hook) {
     hooks_.push_back(std::move(hook));
@@ -271,7 +270,7 @@ TraceRunResult run_trace(pram::MemorySystem& memory,
                          std::span<const pram::AccessBatch> trace) {
   TraceRunResult result;
   result.storage_factor = memory.storage_redundancy();
-  StepLoop(memory, nullptr, nullptr)
+  StepLoop(memory, nullptr)
       .then([&result](const Step& step) { record_step(result, step.cost); })
       .run(trace);
   return result;
@@ -282,7 +281,7 @@ SimulationPipeline::SimulationPipeline(SchemeSpec spec)
 
 pram::MemStepCost SimulationPipeline::run_batch(const pram::AccessBatch& batch) {
   const pram::AccessPlan& plan = builder_.build(batch, *instance_.memory);
-  pram::ServeContext ctx({}, &executor_);
+  pram::ServeContext ctx;
   return serve_plan(*instance_.memory, plan, values_, ctx, nullptr);
 }
 
@@ -307,12 +306,11 @@ TraceRunResult SimulationPipeline::run_stress_impl(
   // the host's threads too.
   const std::size_t stages =
       families.size() + (options.include_map_adversarial ? 1 : 0);
-  // Double-buffer plans and hand shards an executor for group fan-out
-  // only when the shard level leaves the host's cores idle: a thread or
-  // pool per shard on top of a full parallel_for would oversubscribe.
-  const bool shard_level_serial =
-      util::parallel_workers(trials * stages) == 1;
-  const bool double_buffer = options.double_buffer && shard_level_serial;
+  // Double-buffer plans only when the shard level leaves the host's
+  // cores idle: a generator thread per shard on top of a full
+  // parallel_for would oversubscribe.
+  const bool double_buffer =
+      options.double_buffer && util::parallel_workers(trials * stages) == 1;
 
   std::vector<TraceRunResult> shards(trials * stages);
   util::parallel_for(0, trials * stages, [&](std::size_t s) {
@@ -336,9 +334,7 @@ TraceRunResult SimulationPipeline::run_stress_impl(
     TraceRunResult& shard = shards[s];
     shard.storage_factor = memory->storage_redundancy();
 
-    util::Executor executor;
-    StepLoop loop(*memory, shard_level_serial ? &executor : nullptr,
-                  obs_sink);
+    StepLoop loop(*memory, obs_sink);
     loop.then([&shard](const Step& step) { record_step(shard, step.cost); })
         .then(ScrubCadence{*memory, options.scrub_interval,
                            options.scrub_budget, obs_sink, shard});
@@ -419,7 +415,6 @@ CrashRecoveryResult SimulationPipeline::run_crash_recovery(
   obs::Sink sink(options.obs.value_or(obs::SinkOptions{}));
   obs::Sink* obs_sink =
       obs::kEnabled && options.obs.has_value() ? &sink : nullptr;
-  util::Executor executor;
 
   durability::Wal::RecordSpan torn_span;
   {
@@ -438,7 +433,7 @@ CrashRecoveryResult SimulationPipeline::run_crash_recovery(
 
     // Served through the kill step; the crash hook commits every step
     // and runs the group-commit/checkpoint protocol up to (not at) it.
-    StepLoop(*memory, &executor, obs_sink)
+    StepLoop(*memory, obs_sink)
         .then([&](const Step& step) {
           while (onset_cursor < onsets.size() &&
                  onsets[onset_cursor].first <= step.number) {
@@ -514,7 +509,7 @@ CrashRecoveryResult SimulationPipeline::run_crash_recovery(
   // the oracle for the zero-lost-durable-writes check.
   const auto reference = make_run_memory(spec_, fault_spec, nullptr);
   faults::TraceChecker committed;
-  StepLoop(*reference, &executor, nullptr)
+  StepLoop(*reference, nullptr)
       .then([&committed](const Step& step) {
         for (const pram::VarWrite& write : step.plan.writes) {
           committed.record_write(write.var, write.value);
@@ -577,8 +572,7 @@ RecoveryResult SimulationPipeline::run_recovery(
   pram::ReliabilityStats prev;
   std::int64_t last_bad = -1;
   result.trajectory.reserve(trace.size());
-  util::Executor executor;
-  StepLoop(*memory, &executor, obs_sink)
+  StepLoop(*memory, obs_sink)
       .then(ScrubCadence{*memory, options.scrub_interval,
                          options.scrub_budget, obs_sink, scrubbed})
       .then([&](const Step& step) {

@@ -31,7 +31,6 @@
 #include "obs/sink.hpp"
 #include "pram/memory_system.hpp"
 #include "pram/trace.hpp"
-#include "util/parallel.hpp"
 #include "util/stats.hpp"
 
 namespace pramsim::core {
@@ -363,9 +362,6 @@ class SimulationPipeline {
   /// the prototype.
   PlanBuilder builder_;
   std::vector<pram::Word> values_;
-  /// Group-fan-out workers for one-shot serving on the prototype (the
-  /// stress/recovery paths keep per-shard executors of their own).
-  util::Executor executor_;
 };
 
 }  // namespace pramsim::core

@@ -77,6 +77,16 @@ class MotEngine final : public majority::AccessEngine {
   MotEngine(std::shared_ptr<const memmap::MemoryMap> map,
             MotEngineConfig config);
 
+  /// Serve one step's requests with the two-stage cluster protocol.
+  /// Requester ids map to clusters of s = cluster_size processors
+  /// (cluster = requester / s). Stage 1 gives turn (cluster k, member j)
+  /// to requester k * s + j; when requests share a requester the last
+  /// one holds the turn. Requesters >= n are accepted, not rejected:
+  /// those in the last cluster's padding (n <= p < ceil(n/s) * s) get a
+  /// stage-1 turn like real processors, and those at or past
+  /// ceil(n/s) * s get none and wait for stage 2. No in-tree caller
+  /// produces either (MajorityMemory assigns request j to processor
+  /// j mod n); MotEngine.GoldenDigestAllPlacements pins the rule.
   void run_step_into(std::span<const majority::VarRequest> requests,
                      majority::EngineResult& out) override;
 

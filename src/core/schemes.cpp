@@ -307,10 +307,6 @@ SchemeInstance make_scheme(const SchemeSpec& spec) {
         cache::CacheConfig{.capacity = spec.cache_lines});
     inst.name += "+cache";
   }
-  // Backend selection is uniform: the memory downgrades a request its
-  // capabilities (or configuration) cannot honor, and the instance
-  // records what is actually in effect.
-  inst.backend = inst.memory->set_serve_backend(spec.backend);
   return inst;
 }
 

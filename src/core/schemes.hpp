@@ -81,11 +81,6 @@ struct SchemeSpec {
   /// MOT kinds only: precede steps with the P-ROM address-translation
   /// phase (paper conclusion; replaces per-processor map tables).
   bool prom_lookup = false;
-  /// Serve backend to request from the assembled memory (kSerial or
-  /// kGroupParallel); schemes without the capability stay serial — the
-  /// backend actually in effect is SchemeInstance::backend, so benches
-  /// sweep both behind the same factory call.
-  pram::ServeBackend backend = pram::ServeBackend::kSerial;
   /// kIda only: per-share checksum words verified on decode (detected
   /// bad shares become erasures instead of silent block poison); doubles
   /// the scheme's storage factor. See ida::IdaMemoryConfig::check_shares.
@@ -121,9 +116,6 @@ struct SchemeInstance {
   majority::AccessEngine* engine = nullptr;
   std::shared_ptr<const memmap::MemoryMap> map;  ///< null for kIda/kHashed
   std::uint64_t m = 0;           ///< variables covered
-  /// Serve backend actually in effect (the spec's request, downgraded to
-  /// kSerial when the scheme lacks the capability).
-  pram::ServeBackend backend = pram::ServeBackend::kSerial;
   std::uint32_t n_modules = 0;   ///< M
   std::uint32_t c = 0;           ///< access threshold (0: no majority rule)
   std::uint32_t r = 0;           ///< copies per variable (0: not replicated)

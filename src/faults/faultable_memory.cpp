@@ -52,8 +52,8 @@ pram::MemStepCost FaultableMemory::serve(const pram::AccessPlan& plan,
   pram::MemStepCost cost;
 
   if (inner_injects_) {
-    // Replica-level: the inner scheme applies the hooks itself (possibly
-    // group-parallel across ctx's executor) and flags its own losses.
+    // Replica-level: the inner scheme applies the hooks itself and flags
+    // its own losses.
     cost = inner_->serve(plan, ctx);
   } else {
     // Wrapper-level degradation: drop writes whose synthetic module is

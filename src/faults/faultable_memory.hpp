@@ -39,12 +39,11 @@ class FaultableMemory final : public pram::MemorySystem {
   FaultableMemory(std::unique_ptr<pram::MemorySystem> inner, FaultSpec spec);
 
   /// Replica-level injection forwards the plan verbatim to the inner
-  /// scheme's serve (which applies the hooks at copy/share granularity —
-  /// including a group-parallel backend fanning groups across ctx's
-  /// executor). Wrapper-level injection degrades the traffic itself and
-  /// serves a re-assembled plan without the dropped writes. Either way
-  /// the wrapper then runs the oracle pass, reading outage flags from
-  /// the context.
+  /// scheme's serve (which applies the hooks at copy/share granularity).
+  /// Wrapper-level injection degrades the traffic itself and serves a
+  /// re-assembled plan without the dropped writes. Either way the
+  /// wrapper then runs the oracle pass, reading outage flags from the
+  /// context.
   pram::MemStepCost serve(const pram::AccessPlan& plan,
                           pram::ServeContext& ctx) override;
 
@@ -57,13 +56,6 @@ class FaultableMemory final : public pram::MemorySystem {
   }
   [[nodiscard]] bool wants_plan_groups() const override {
     return inner_injects_ && inner_->wants_plan_groups();
-  }
-  [[nodiscard]] std::uint32_t capabilities() const override {
-    return inner_injects_ ? inner_->capabilities() : 0;
-  }
-  pram::ServeBackend set_serve_backend(
-      pram::ServeBackend backend) override {
-    return inner_->set_serve_backend(backend);
   }
 
   [[nodiscard]] std::uint64_t size() const override {

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/assert.hpp"
-#include "util/parallel.hpp"
 
 namespace pramsim::hashing {
 
@@ -29,10 +28,6 @@ pram::MemStepCost MvMemory::serve(const pram::AccessPlan& plan,
   obs_count("hashed.reads", plan.reads.size());
   obs_count("hashed.writes", plan.writes.size());
 
-  if (backend_ == pram::ServeBackend::kGroupParallel && plan.grouped()) {
-    return serve_groups_parallel(plan, ctx);
-  }
-
   // The plan's requests are the distinct variables of the step: count
   // them straight into the dense per-module load array; the step's time
   // is the max over touched modules.
@@ -57,13 +52,13 @@ pram::MemStepCost MvMemory::serve(const pram::AccessPlan& plan,
   }
   for (std::size_t i = 0; i < plan.reads.size(); ++i) {
     bool flagged = false;
-    read_values[i] = faulted_read(plan.reads[i], &flagged, reliability_);
+    read_values[i] = faulted_read(plan.reads[i], &flagged);
     if (flagged) {
       ctx.flag_read(i);
     }
   }
   for (const auto& w : plan.writes) {
-    faulted_write(w.var, w.value, reliability_);
+    faulted_write(w.var, w.value);
   }
 
   if (config_.rehash_threshold != 0 && max_load > config_.rehash_threshold) {
@@ -82,109 +77,37 @@ pram::MemStepCost MvMemory::serve(const pram::AccessPlan& plan,
                            .max_queue = max_load};
 }
 
-pram::MemStepCost MvMemory::serve_groups_parallel(
-    const pram::AccessPlan& plan, pram::ServeContext& ctx) {
-  const std::span<pram::Word> read_values = ctx.read_values();
-  const std::size_t n_reads = plan.reads.size();
-  if (hooks_ != nullptr) {
-    ctx.enable_flags();
-  }
-
-  // Plan groups ARE the touched modules (plan_group_of = module_of), so
-  // a group's load is its size — the dense counting array disappears —
-  // and groups touch disjoint cells, so the value loops fan freely: a
-  // read+write of one variable is one request inside one group, served
-  // read-before-write by that group's worker.
-  const pram::GroupRange groups(plan);
-  util::Executor* executor = ctx.executor();
-  const std::size_t workers =
-      executor != nullptr
-          ? executor->plan_workers(groups.size(), plan.requests.size())
-          : 1;
-  const std::size_t chunk = (groups.size() + workers - 1) / workers;
-  chunk_scratch_.assign(workers, {});
-
-  auto body = [&](std::size_t g_lo, std::size_t g_hi) {
-    ChunkTally& tally = chunk_scratch_[g_lo / chunk];
-    for (std::size_t g = g_lo; g < g_hi; ++g) {
-      const auto unit = groups[g];
-      tally.max_load = std::max(
-          tally.max_load, static_cast<std::uint32_t>(unit.requests.size()));
-      for (const std::uint32_t j : unit.requests) {
-        PRAMSIM_ASSERT(plan.requests[j].var.index() < cells_.size());
-        // Requests lead with the reads in plan order, so a request index
-        // below n_reads IS its read index.
-        if (j < n_reads) {
-          bool flagged = false;
-          read_values[j] =
-              faulted_read(plan.reads[j], &flagged, tally.stats);
-          if (flagged) {
-            ctx.flag_read(j);
-          }
-        }
-        const std::uint32_t w = plan.request_write[j];
-        if (w != pram::AccessPlan::kNone) {
-          faulted_write(plan.writes[w].var, plan.writes[w].value,
-                        tally.stats);
-        }
-      }
-    }
-  };
-  if (executor != nullptr && workers > 1) {
-    executor->run_with(groups.size(), workers, body);
-  } else {
-    body(0, groups.size());
-  }
-
-  // Deterministic post-merge in chunk order: counters are commutative
-  // sums and the load reduction is a max, so any worker count folds to
-  // the same totals.
-  std::uint32_t max_load = 0;
-  for (const auto& tally : chunk_scratch_) {
-    reliability_.merge(tally.stats);
-    max_load = std::max(max_load, tally.max_load);
-  }
-  load_stats_.add(static_cast<double>(max_load));
-
-  return pram::MemStepCost{.time = max_load,
-                           .work = plan.requests.size(),
-                           .live_after_stage1 = 0,
-                           .max_queue = max_load};
-}
-
-pram::Word MvMemory::faulted_read(VarId var, bool* flagged,
-                                  pram::ReliabilityStats& stats) {
+pram::Word MvMemory::faulted_read(VarId var, bool* flagged) {
   if (hooks_ == nullptr) {
     return cells_[var.index()];
   }
   const std::uint64_t step = steps_served();
-  ++stats.reads_served;
+  ++reliability_.reads_served;
   if (hooks_->module_dead(ModuleId(module_of(var)), step)) {
-    ++stats.uncorrectable;
-    ++stats.erasures_skipped;
-    ++stats.units_faulty;
+    ++reliability_.uncorrectable;
+    ++reliability_.erasures_skipped;
+    ++reliability_.units_faulty;
     *flagged = true;
     return 0;
   }
   pram::Word value = cells_[var.index()];
   pram::Word stuck = 0;
   if (hooks_->stuck_at(var.index(), 0, step, stuck)) {
-    ++stats.units_faulty;
+    ++reliability_.units_faulty;
     value = stuck;  // single copy: nothing to out-vote the stuck cell
   }
   return value;
 }
 
-void MvMemory::faulted_write(VarId var, pram::Word value,
-                             pram::ReliabilityStats& stats) {
+void MvMemory::faulted_write(VarId var, pram::Word value) {
   if (hooks_ != nullptr) {
     const std::uint64_t step = steps_served();
     if (hooks_->module_dead(ModuleId(module_of(var)), step)) {
-      ++stats.writes_dropped;
+      ++reliability_.writes_dropped;
       return;
     }
     if (hooks_->corrupt_write(var.index(), 0, step, step, value)) {
-      ++stats.corrupt_stores;
+      ++reliability_.corrupt_stores;
     }
   }
   cells_[var.index()] = value;
@@ -286,7 +209,7 @@ void MvMemory::poke(VarId var, pram::Word value) {
   PRAMSIM_ASSERT(var.index() < cells_.size());
   // Out-of-band initialization still lands on faulty hardware: a dead
   // module never learns the value.
-  faulted_write(var, value, reliability_);
+  faulted_write(var, value);
 }
 
 }  // namespace pramsim::hashing

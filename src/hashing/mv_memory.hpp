@@ -34,35 +34,9 @@ class MvMemory final : public pram::MemorySystem {
 
   /// Serve a step: the plan's request list is the distinct variable
   /// union, so module loads accumulate into a dense per-instance scratch
-  /// array and the step takes max-load rounds. Under
-  /// ServeBackend::kGroupParallel the plan's groups ARE the touched
-  /// modules (plan_group_of = module_of), so a group's load is its size
-  /// and the value loops fan across ctx.executor()'s workers with
-  /// per-chunk telemetry folded in chunk order.
+  /// array and the step takes max-load rounds.
   pram::MemStepCost serve(const pram::AccessPlan& plan,
                           pram::ServeContext& ctx) override;
-
-  /// Group key = the copy's module. ONLY exposed on the group-parallel
-  /// backend, which requires the rehash policy off: a redrawable hash
-  /// must not leak into plans built ahead of time (set_serve_backend
-  /// refuses kGroupParallel when rehash_threshold != 0).
-  [[nodiscard]] std::uint64_t plan_group_of(VarId var) const override {
-    return module_of(var);
-  }
-  [[nodiscard]] bool wants_plan_groups() const override {
-    return backend_ == pram::ServeBackend::kGroupParallel;
-  }
-  [[nodiscard]] std::uint32_t capabilities() const override {
-    return config_.rehash_threshold == 0
-               ? std::uint32_t{pram::kGroupParallel}
-               : std::uint32_t{0};
-  }
-  pram::ServeBackend set_serve_backend(pram::ServeBackend backend) override {
-    backend_ = (capabilities() & pram::kGroupParallel) != 0
-                   ? backend
-                   : pram::ServeBackend::kSerial;
-    return backend_;
-  }
 
   [[nodiscard]] std::uint64_t size() const override { return cells_.size(); }
   [[nodiscard]] pram::Word peek(VarId var) const override;
@@ -95,37 +69,22 @@ class MvMemory final : public pram::MemorySystem {
   }
 
  private:
-  /// Per-chunk telemetry slot for the group-parallel value phase, folded
-  /// in chunk order after the fan-out.
-  struct ChunkTally {
-    pram::ReliabilityStats stats;
-    std::uint32_t max_load = 0;
-  };
-
   /// Read the single copy under fault injection (dead module ->
   /// uncorrectable zero with *flagged set, stuck cell -> silently wrong
-  /// stuck value). Stats accrue into `stats` (chunk-local under the
-  /// group-parallel backend, reliability_ otherwise).
-  [[nodiscard]] pram::Word faulted_read(VarId var, bool* flagged,
-                                        pram::ReliabilityStats& stats);
+  /// stuck value).
+  [[nodiscard]] pram::Word faulted_read(VarId var, bool* flagged);
   /// Commit a write unless the cell's module is dead; the committed word
   /// may be silently corrupted.
-  void faulted_write(VarId var, pram::Word value,
-                     pram::ReliabilityStats& stats);
-  /// The group-parallel value phase (plan groups = modules).
-  pram::MemStepCost serve_groups_parallel(const pram::AccessPlan& plan,
-                                          pram::ServeContext& ctx);
+  void faulted_write(VarId var, pram::Word value);
 
   MvMemoryConfig config_;
   util::Rng rng_;
   PolynomialHash hash_;
   std::vector<pram::Word> cells_;
-  pram::ServeBackend backend_ = pram::ServeBackend::kSerial;
   /// serve() scratch: per-module distinct-request counts plus the list of
   /// touched modules (for O(touched) reset), reused across steps.
   std::vector<std::uint32_t> load_scratch_;
   std::vector<std::uint32_t> touched_scratch_;
-  std::vector<ChunkTally> chunk_scratch_;
   std::uint64_t rehashes_ = 0;
   util::RunningStats load_stats_;  ///< per-step max module load
   const pram::FaultHooks* hooks_ = nullptr;  ///< non-owning; null = healthy

@@ -69,9 +69,7 @@ class IdaMemory final : public pram::MemorySystem {
   /// (plan_group_of = block index) — phase 1 walks read groups, phase 2
   /// write groups, both in ascending block order (which fixes the
   /// least-loaded share selection order), decoding into a per-instance
-  /// flat buffer. Serial under every backend: the least-loaded share
-  /// pick makes groups interdependent, so this scheme does not
-  /// advertise kGroupParallel.
+  /// flat buffer.
   pram::MemStepCost serve(const pram::AccessPlan& plan,
                           pram::ServeContext& ctx) override;
 

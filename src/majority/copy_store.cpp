@@ -248,24 +248,4 @@ std::uint32_t CopyStore::store_all(VarId var,
   return dropped;
 }
 
-std::uint32_t CopyStore::store_all_prepared(
-    VarId var, std::span<const ModuleId> modules, pram::Word value,
-    std::uint64_t stamp, std::uint64_t reroll, std::uint64_t step,
-    const pram::FaultHooks& hooks, std::uint64_t& corrupt_stores) {
-  PRAMSIM_ASSERT(modules.size() == r_);
-  std::uint32_t dropped = 0;
-  for (std::uint32_t i = 0; i < r_; ++i) {
-    if (hooks.module_dead(modules[i], step)) {
-      ++dropped;
-      continue;
-    }
-    pram::Word committed = value;
-    if (hooks.corrupt_write(var.index(), i, reroll, step, committed)) {
-      ++corrupt_stores;
-    }
-    write_prepared(var, i, committed, stamp);
-  }
-  return dropped;
-}
-
 }  // namespace pramsim::majority

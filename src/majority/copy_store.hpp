@@ -89,31 +89,6 @@ class CopyStore {
         Copy{value, stamp};
   }
 
-  // ----- group-parallel serve surface -----
-  //
-  // The sparse index's structure must not mutate while group workers write
-  // concurrently, so the parallel value phase is two-phase: the serving
-  // thread materializes every written variable's region row up front
-  // (ensure_row), then workers update DISTINCT variables' slots in place
-  // (write_prepared) — pure lookups, no insertion, no growth. Distinct
-  // variables of a SHARED region row touch disjoint Copy slots, so the
-  // frozen-structure rule carries over to any region width unchanged.
-
-  /// Materialize `var`'s region row (serving thread only, before fan-out).
-  void ensure_row(VarId var) { (void)row(var); }
-
-  /// In-place write for a row ensure_row already materialized. Safe to
-  /// call concurrently with other write_prepared/reads on DIFFERENT
-  /// variables (and different copies of the same variable).
-  void write_prepared(VarId var, std::uint32_t copy, pram::Word value,
-                      std::uint64_t stamp) {
-    PRAMSIM_DASSERT(var.index() < m_vars_ && copy < r_);
-    Copy* data = find_row(region_of(var));
-    PRAMSIM_DASSERT(data != nullptr);
-    data[static_cast<std::size_t>(copy) * w_ + var.index() % w_] =
-        Copy{value, stamp};
-  }
-
   /// The freshest value among the copies selected by `mask` (bit i =>
   /// copy i participates). Requires a non-empty mask.
   [[nodiscard]] Copy freshest(VarId var, std::uint64_t mask) const;
@@ -163,16 +138,6 @@ class CopyStore {
                           std::uint64_t reroll, std::uint64_t step,
                           const pram::FaultHooks& hooks,
                           std::uint64_t& corrupt_stores);
-
-  /// store_all for the group-parallel degraded path: identical effects,
-  /// but writes through write_prepared — the caller must have
-  /// ensure_row'd `var` on the serving thread first.
-  std::uint32_t store_all_prepared(VarId var,
-                                   std::span<const ModuleId> modules,
-                                   pram::Word value, std::uint64_t stamp,
-                                   std::uint64_t reroll, std::uint64_t step,
-                                   const pram::FaultHooks& hooks,
-                                   std::uint64_t& corrupt_stores);
 
   // ----- bulk region surface (the hailburst vote_memory idiom) -----
 

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "util/assert.hpp"
-#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace pramsim::majority {
@@ -32,16 +31,6 @@ MajorityMemory::MajorityMemory(std::shared_ptr<const memmap::MemoryMap> map,
                                std::uint32_t region_words)
     : MajorityMemory(std::make_unique<DmmpcEngine>(std::move(map), scheduler),
                      region_words) {}
-
-std::uint64_t MajorityMemory::plan_group_of(VarId var) const {
-  // The base map's first copy module (r <= 64 by CopyStore contract, so
-  // a stack buffer suffices and the call is allocation-free and
-  // thread-safe for the plan generator).
-  ModuleId modules[64];
-  const std::uint32_t r = engine_->map().redundancy();
-  engine_->map().copies_into(var, std::span<ModuleId>(modules, r));
-  return modules[0].index();
-}
 
 void MajorityMemory::copies_into_current(VarId var,
                                          std::span<ModuleId> out) const {
@@ -107,26 +96,19 @@ std::uint64_t MajorityMemory::degraded_serve(const pram::AccessPlan& plan,
     dropped += d;
     fault_work += r;
   }
-  obs_degraded_counts(masked, uncorrectable, erased_total, dropped);
-  return fault_work;
-}
-
-void MajorityMemory::obs_degraded_counts(std::uint64_t masked,
-                                         std::uint64_t uncorrectable,
-                                         std::uint64_t erased,
-                                         std::uint64_t dropped) const {
   if (masked != 0) {
     obs_count("majority.votes.masked", masked);
   }
   if (uncorrectable != 0) {
     obs_count("majority.votes.uncorrectable", uncorrectable);
   }
-  if (erased != 0) {
-    obs_count("majority.erasures", erased);
+  if (erased_total != 0) {
+    obs_count("majority.erasures", erased_total);
   }
   if (dropped != 0) {
     obs_count("majority.stores.dropped", dropped);
   }
+  return fault_work;
 }
 
 pram::MemStepCost MajorityMemory::serve(const pram::AccessPlan& plan,
@@ -151,8 +133,7 @@ pram::MemStepCost MajorityMemory::serve(const pram::AccessPlan& plan,
          plan.requests[j].op});
   }
 
-  // The engine schedule is a global protocol over every request; it
-  // stays on the serving thread under either backend.
+  // The engine schedule is a global protocol over every request.
   {
     obs::ScopedPhase timer(timing, obs::Phase::kEngineSchedule);
     engine_->run_step_into(request_scratch_, engine_scratch_);
@@ -164,18 +145,7 @@ pram::MemStepCost MajorityMemory::serve(const pram::AccessPlan& plan,
   const std::uint32_t r = engine_->map().redundancy();
   std::uint64_t fault_work = 0;
   obs::ScopedPhase value_timer(timing, obs::Phase::kValuePhase);
-  // Fan the value phase only when the executor would actually hand out
-  // more than one chunk: at one worker the plain read/write loops below
-  // do the same work without the group indirection (identical values and
-  // telemetry either way — the backends are bit-equivalent by contract).
-  const bool fan =
-      backend_ == pram::ServeBackend::kGroupParallel && plan.grouped() &&
-      ctx.executor() != nullptr &&
-      ctx.executor()->plan_workers(plan.num_groups(),
-                                   plan.requests.size()) > 1;
-  if (fan) {
-    fault_work = serve_groups_parallel(plan, ctx, result);
-  } else if (hooks_ == nullptr) {
+  if (hooks_ == nullptr) {
     for (std::size_t i = 0; i < plan.reads.size(); ++i) {
       read_values[i] =
           store_
@@ -201,156 +171,6 @@ pram::MemStepCost MajorityMemory::serve(const pram::AccessPlan& plan,
                            .work = result.work + fault_work,
                            .live_after_stage1 = result.stats.live_after_stage1,
                            .max_queue = result.stats.max_queue};
-}
-
-std::uint64_t MajorityMemory::serve_groups_parallel(
-    const pram::AccessPlan& plan, pram::ServeContext& ctx,
-    const EngineResult& result) {
-  const std::span<pram::Word> read_values = ctx.read_values();
-  const std::uint32_t r = engine_->map().redundancy();
-  const std::uint64_t stamp = steps_served();
-  const std::size_t n_reads = plan.reads.size();
-
-  // Two-phase for the sparse store: rows this step will write are
-  // materialized up front on the serving thread, so group workers only
-  // mutate distinct pre-existing rows (the map's structure is frozen
-  // during the fan-out). Under the degraded protocol a write whose every
-  // module is dead stores nothing — leave its row unmaterialized so the
-  // sparse-store state matches the serial path exactly (scrub treats
-  // untouched rows specially).
-  if (hooks_ == nullptr) {
-    for (const auto& w : plan.writes) {
-      store_.ensure_row(w.var);
-    }
-  } else {
-    ctx.enable_flags();
-    std::vector<ModuleId> modules(r);
-    for (const auto& w : plan.writes) {
-      copies_into_current(w.var, modules);
-      for (std::uint32_t copy = 0; copy < r; ++copy) {
-        if (!hooks_->module_dead(modules[copy], stamp)) {
-          store_.ensure_row(w.var);
-          break;
-        }
-      }
-    }
-  }
-
-  const pram::GroupRange groups(plan);
-  util::Executor* executor = ctx.executor();
-  const std::size_t workers =
-      executor != nullptr
-          ? executor->plan_workers(groups.size(), plan.requests.size())
-          : 1;
-  const std::size_t chunk = (groups.size() + workers - 1) / workers;
-  chunk_scratch_.assign(workers, {});
-  // Workers buffer journal events per chunk; the fold below appends them
-  // in chunk order so the journal matches the serial path (the per-step
-  // canonical sort makes intra-step order irrelevant).
-  const bool journal_events = obs::kEnabled && observer() != nullptr;
-
-  auto body = [&](std::size_t g_lo, std::size_t g_hi) {
-    ChunkTally& tally = chunk_scratch_[g_lo / chunk];
-    ModuleId modules[64];
-    const std::span<ModuleId> module_span(modules, r);
-    for (std::size_t g = g_lo; g < g_hi; ++g) {
-      const auto unit = groups[g];
-      if (hooks_ == nullptr) {
-        for (const std::uint32_t j : unit.requests) {
-          // Requests lead with the reads in plan order, so a request
-          // index below n_reads IS its read index.
-          if (j < n_reads) {
-            read_values[j] =
-                store_.freshest(plan.reads[j], result.accessed_mask[j])
-                    .value;
-          }
-          const std::uint32_t w = plan.request_write[j];
-          if (w != pram::AccessPlan::kNone) {
-            const std::uint64_t mask = result.accessed_mask[j];
-            for (std::uint32_t copy = 0; copy < r; ++copy) {
-              if ((mask >> copy) & 1ULL) {
-                store_.write_prepared(plan.writes[w].var, copy,
-                                      plan.writes[w].value, stamp);
-              }
-            }
-          }
-        }
-        continue;
-      }
-      // Degraded protocol, group-local: the group's reads vote first
-      // (pre-step state), then its writes store through. Groups touch
-      // disjoint variables, so cross-group interleaving cannot change
-      // any value; telemetry lands in this chunk's tally.
-      for (const std::uint32_t j : unit.requests) {
-        if (j >= n_reads) {
-          continue;
-        }
-        copies_into_current(plan.reads[j], module_span);
-        const auto outcome =
-            store_.vote(plan.reads[j], module_span, stamp, *hooks_);
-        read_values[j] = outcome.winner.value;
-        ++tally.stats.reads_served;
-        tally.stats.erasures_skipped += outcome.erased;
-        tally.stats.units_faulty += outcome.erased + outcome.dissenting;
-        tally.fault_work += outcome.survivors;
-        if (outcome.survivors == 0) {
-          ++tally.stats.uncorrectable;
-          ctx.flag_read(j);
-          if (journal_events) {
-            tally.events.push_back(
-                {stamp, obs::EventKind::kUncorrectable, outcome.erased,
-                 plan.reads[j].index(), outcome.dissenting, 0});
-          }
-        } else if (outcome.erased + outcome.dissenting > 0) {
-          ++tally.stats.faults_masked;
-          if (journal_events) {
-            tally.events.push_back(
-                {stamp, obs::EventKind::kDegradedVote, outcome.erased,
-                 plan.reads[j].index(), outcome.dissenting,
-                 outcome.survivors});
-          }
-        }
-      }
-      for (const std::uint32_t j : unit.requests) {
-        const std::uint32_t w = plan.request_write[j];
-        if (w == pram::AccessPlan::kNone) {
-          continue;
-        }
-        copies_into_current(plan.writes[w].var, module_span);
-        tally.stats.writes_dropped += store_.store_all_prepared(
-            plan.writes[w].var, module_span, plan.writes[w].value, stamp,
-            stamp, stamp, *hooks_, tally.stats.corrupt_stores);
-        tally.fault_work += r;
-      }
-    }
-  };
-  if (executor != nullptr && workers > 1) {
-    executor->run_with(groups.size(), workers, body);
-  } else {
-    body(0, groups.size());
-  }
-
-  // Deterministic post-merge: chunk tallies fold in chunk order (every
-  // field is a commutative sum, so any worker count folds identically;
-  // journal events re-sort canonically at step commit).
-  std::uint64_t fault_work = 0;
-  std::uint64_t masked = 0;
-  std::uint64_t uncorrectable = 0;
-  std::uint64_t erased_total = 0;
-  std::uint64_t dropped = 0;
-  for (const auto& tally : chunk_scratch_) {
-    reliability_.merge(tally.stats);
-    fault_work += tally.fault_work;
-    masked += tally.stats.faults_masked;
-    uncorrectable += tally.stats.uncorrectable;
-    erased_total += tally.stats.erasures_skipped;
-    dropped += tally.stats.writes_dropped;
-    for (const auto& event : tally.events) {
-      obs_event(event.kind, event.entity, event.unit, event.a, event.b);
-    }
-  }
-  obs_degraded_counts(masked, uncorrectable, erased_total, dropped);
-  return fault_work;
 }
 
 pram::Word MajorityMemory::peek(VarId var) const {

@@ -43,30 +43,9 @@ class MajorityMemory final : public pram::MemorySystem {
   /// (requesters synthesized round-robin) through its scratch-backed
   /// run_step_into; the value phase reads the freshest accessed copy and
   /// stamps writes onto the accessed copies (or, under fault hooks, votes
-  /// and writes through — see set_fault_hooks). Under
-  /// ServeBackend::kGroupParallel the value phase fans the plan's module
-  /// groups across ctx.executor()'s workers — the engine schedule stays
-  /// serial (it is a global protocol) — with per-chunk telemetry folded
-  /// in chunk order, so results are bit-identical at any worker count.
+  /// and writes through — see set_fault_hooks).
   pram::MemStepCost serve(const pram::AccessPlan& plan,
                           pram::ServeContext& ctx) override;
-
-  /// Group-parallel work units are module groups keyed by the variable's
-  /// FIRST mapped copy module (the base map's placement; scrub
-  /// relocations never move a variable between groups — the key only
-  /// partitions work, it never resolves placement). Stable and
-  /// thread-safe: a pure function of the immutable map.
-  [[nodiscard]] std::uint64_t plan_group_of(VarId var) const override;
-  [[nodiscard]] bool wants_plan_groups() const override {
-    return backend_ == pram::ServeBackend::kGroupParallel;
-  }
-  [[nodiscard]] std::uint32_t capabilities() const override {
-    return pram::kGroupParallel;
-  }
-  pram::ServeBackend set_serve_backend(pram::ServeBackend backend) override {
-    backend_ = backend;
-    return backend_;
-  }
 
   [[nodiscard]] std::uint64_t size() const override {
     return engine_->map().num_vars();
@@ -132,7 +111,7 @@ class MajorityMemory final : public pram::MemorySystem {
   [[nodiscard]] bool restore_body(pram::SnapshotSource& source) override;
 
  private:
-  /// Serial degraded-mode value phase: majority-vote reads over every
+  /// Degraded-mode value phase: majority-vote reads over every
   /// surviving copy (flagging reads with no survivor in ctx),
   /// write-through to every survivor. Returns the extra copy traffic
   /// (fault work).
@@ -143,39 +122,15 @@ class MajorityMemory final : public pram::MemorySystem {
   /// first relocation.
   void copies_into_current(VarId var, std::span<ModuleId> out) const;
 
-  /// Bump the degraded-protocol obs counters (shared by the serial loop
-  /// and the group-parallel fold so both backends report identically).
-  void obs_degraded_counts(std::uint64_t masked, std::uint64_t uncorrectable,
-                           std::uint64_t erased, std::uint64_t dropped) const;
-
-  /// Group-parallel value phase shared by the healthy and degraded
-  /// serve paths: fan the plan's groups across ctx.executor()'s workers
-  /// (chunk telemetry folded in chunk order afterwards).
-  std::uint64_t serve_groups_parallel(const pram::AccessPlan& plan,
-                                      pram::ServeContext& ctx,
-                                      const EngineResult& result);
-
   std::unique_ptr<AccessEngine> engine_;
   CopyStore store_;
   std::uint32_t n_processors_;
   util::RunningStats time_stats_;
   ProtocolStats last_stats_;
-  pram::ServeBackend backend_ = pram::ServeBackend::kSerial;
   /// serve() scratch: the plan's requests with synthesized requesters,
   /// and the engine result buffers, both reused across steps.
   std::vector<VarRequest> request_scratch_;
   EngineResult engine_scratch_;
-  /// Per-chunk telemetry slots for the group-parallel degraded phase
-  /// (folded deterministically after the fan-out).
-  struct ChunkTally {
-    pram::ReliabilityStats stats;
-    std::uint64_t fault_work = 0;
-    /// Journal events recorded by this chunk's worker; appended to the
-    /// sink in chunk order after the fan-out so group-parallel journals
-    /// match serial ones (the per-step canonical sort does the rest).
-    std::vector<obs::Event> events;
-  };
-  std::vector<ChunkTally> chunk_scratch_;
   const pram::FaultHooks* hooks_ = nullptr;  ///< non-owning; null = healthy
   pram::ReliabilityStats reliability_;
   /// Scrub relocation overlay: (var * r + copy) -> replacement module for

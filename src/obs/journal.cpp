@@ -28,7 +28,7 @@ const char* to_string(EventKind kind) {
 namespace {
 
 /// The canonical within-step order: makes the journal independent of
-/// append order (serial read order vs group-parallel chunk-fold order).
+/// append order.
 bool canonical_less(const Event& x, const Event& y) {
   return std::tie(x.kind, x.entity, x.unit, x.a, x.b) <
          std::tie(y.kind, y.entity, y.unit, y.a, y.b);

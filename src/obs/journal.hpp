@@ -9,16 +9,14 @@
 //
 //  * per-step canonical commit: events append into a pending buffer for
 //    the current step and are sorted by (kind, entity, unit, a, b)
-//    before committing to the ring, so the serial degraded loop (read
-//    order) and the group-parallel fan-out (group order, chunk-folded)
-//    produce byte-identical journals;
+//    before committing to the ring, so a journal never depends on the
+//    order in which a step's layers and loops append their events;
 //  * bounded drop-oldest ring: the journal keeps the LAST `capacity`
 //    committed events; `dropped()` counts evictions, which is itself a
 //    deterministic function of the run.
 //
 // The journal is single-writer: every append happens on the serving
-// thread (group-parallel chunks buffer their events per chunk and fold
-// them in chunk order after the fan-out, like every other tally).
+// thread.
 #pragma once
 
 #include <cstddef>

@@ -83,29 +83,4 @@ struct AccessPlan {
   }
 };
 
-/// The plan's pre-partitioned module groups as schedulable work units:
-/// group-parallel backends iterate GroupRange and fan contiguous chunks
-/// of it across executor workers. Each unit is one group — requests
-/// sharing a plan_group_of key (target module / block) — and units touch
-/// disjoint variables by construction, so serving them in any order (or
-/// concurrently) commits the same state; only telemetry needs a
-/// deterministic post-merge.
-class GroupRange {
- public:
-  explicit GroupRange(const AccessPlan& plan) : plan_(&plan) {}
-
-  struct Unit {
-    std::uint64_t key = 0;  ///< the shared plan_group_of key
-    std::span<const std::uint32_t> requests;  ///< indices into plan.requests
-  };
-
-  [[nodiscard]] std::size_t size() const { return plan_->num_groups(); }
-  [[nodiscard]] Unit operator[](std::size_t g) const {
-    return {plan_->group_keys[g], plan_->group(g)};
-  }
-
- private:
-  const AccessPlan* plan_;
-};
-
 }  // namespace pramsim::pram

@@ -81,14 +81,6 @@ MemStepCost MemorySystem::step(std::span<const VarId> reads,
   return cost;
 }
 
-const char* to_string(ServeBackend backend) {
-  switch (backend) {
-    case ServeBackend::kSerial: return "serial";
-    case ServeBackend::kGroupParallel: return "group-parallel";
-  }
-  return "???";
-}
-
 FlatMemory::FlatMemory(std::uint64_t m_cells) : cells_(m_cells, 0) {}
 
 MemStepCost FlatMemory::serve(const AccessPlan& plan, ServeContext& ctx) {

@@ -57,22 +57,11 @@ struct ScrubResult {
   }
 };
 
-/// Capability bits a scheme advertises on the serve surface
-/// (MemorySystem::capabilities).
-enum ServeCapability : std::uint32_t {
-  /// serve(plan, ctx) can fan the plan's module groups across
-  /// ctx.executor()'s workers (groups are independent work units).
-  kGroupParallel = 1u << 0,
-};
-
-/// Which serve backend a scheme instance runs
-/// (MemorySystem::set_serve_backend; swept by core::SchemeSpec::backend).
+/// Serve backend selector. perfbench/span_memory.hpp is its only user;
+/// it goes when ROADMAP item 4 deletes SpanMemory and the replay.
 enum class ServeBackend : std::uint8_t {
-  kSerial,         ///< one thread serves the whole plan (the default)
-  kGroupParallel,  ///< plan groups fan across the context's executor
+  kSerial,  ///< one thread serves the whole plan
 };
-
-[[nodiscard]] const char* to_string(ServeBackend backend);
 
 /// Interface all shared-memory organizations implement.
 ///
@@ -96,7 +85,7 @@ class MemorySystem {
   // module groups (pram::PlanAssembler builds every plan, whether via
   // core::PlanBuilder from a raw batch or via step() below). The context
   // carries the per-step I/O surface: output span, step clock, outage
-  // flags, executor. Implementations must honor:
+  // flags. Implementations must honor:
   //
   //  * Values: ctx.read_values()[i] receives plan.reads[i]'s pre-step
   //    value; writes commit after every read. Reads served below the
@@ -108,13 +97,7 @@ class MemorySystem {
   //    and serve their inner memory once per step, keeping the layers
   //    aligned.
   //  * Threading: serve may keep per-instance scratch; it is called from
-  //    one thread at a time. A scheme advertising kGroupParallel
-  //    (capabilities()) and switched to ServeBackend::kGroupParallel may
-  //    fan the plan's groups across ctx.executor()'s workers — but group
-  //    results must merge DETERMINISTICALLY: output slots disjoint by
-  //    construction, telemetry accumulated per chunk and folded in group
-  //    order, never atomics racing on shared counters. Group-parallel
-  //    serve must be bit-identical to serial serve at ANY worker count.
+  //    one thread at a time and serves the whole plan on that thread.
 
   /// Serve one pre-combined step. ctx.read_values()[i] receives the
   /// value of plan.reads[i].
@@ -142,17 +125,11 @@ class MemorySystem {
   /// builder skips the group arrays (and their sort) otherwise.
   [[nodiscard]] virtual bool wants_plan_groups() const { return false; }
 
-  /// Serve-surface capability bits (ServeCapability). A scheme that can
-  /// fan plan groups across executor workers advertises kGroupParallel;
-  /// the factory only switches backends capabilities allow.
+  /// No capability bits exist. perfbench/span_memory.hpp is the only
+  /// user; this goes when ROADMAP item 4 deletes SpanMemory and the replay.
   [[nodiscard]] virtual std::uint32_t capabilities() const { return 0; }
-
-  /// Select the serve backend. Returns the backend actually in effect:
-  /// schemes without the matching capability (or whose configuration
-  /// forbids it — e.g. a rehashing baseline whose placement moves) stay
-  /// on kSerial. Like set_fault_hooks: switch before serving traffic,
-  /// never between steps — plans built for one backend may lack the
-  /// group arrays the other consumes.
+  /// Always serial. perfbench/span_memory.hpp is the only user; this goes
+  /// when ROADMAP item 4 deletes SpanMemory and the replay.
   virtual ServeBackend set_serve_backend(ServeBackend backend) {
     (void)backend;
     return ServeBackend::kSerial;

@@ -6,23 +6,13 @@
 //                      (the engine-wide clock in MemorySystem advances it);
 //   * outage flags   - per-read "this value is a FLAGGED loss, not a
 //                      candidate lie" bits (MemorySystem::step copies
-//                      them out for flagged_reads());
-//   * executor()     - a util::Executor for schemes whose capabilities()
-//                      include kGroupParallel: the plan's module groups
-//                      are independent work units, and the executor fans
-//                      them across parked worker threads.
+//                      them out for flagged_reads()).
 //
-// Ownership: the CALLER (driver, bench, test) owns the context and the
-// executor it points at; both outlive the serve() call. A context is
-// reused across steps via bind(), which re-arms the output span and
-// clears the per-step state (flags, step stamp). Schemes must treat the
-// context as per-step scratch: nothing in it survives bind().
-//
-// Thread-safety inside group-parallel serve: flag_read() writes one
-// std::uint8_t per read index — indices are disjoint across groups, so
-// concurrent flagging from group workers is race-free (this is why the
-// flags are bytes, not std::vector<bool> bits). enable_flags() must be
-// called BEFORE fanning out (it sizes the array).
+// Ownership: the CALLER (driver, bench, test) owns the context; it
+// outlives the serve() call. A context is reused across steps via
+// bind(), which re-arms the output span and clears the per-step state
+// (flags, step stamp). Schemes must treat the context as per-step
+// scratch: nothing in it survives bind().
 #pragma once
 
 #include <cstdint>
@@ -40,9 +30,12 @@ namespace pramsim::pram {
 class ServeContext {
  public:
   ServeContext() = default;
+  /// The Executor parameter is ignored. perfbench's
+  /// `ServeContext ctx({}, &executor)` is its only user; it goes when
+  /// ROADMAP item 4 deletes SpanMemory and the replay.
   explicit ServeContext(std::span<Word> read_values,
-                        util::Executor* executor = nullptr)
-      : read_values_(read_values), executor_(executor) {}
+                        util::Executor* /*executor*/ = nullptr)
+      : read_values_(read_values) {}
 
   ServeContext(const ServeContext&) = delete;
   ServeContext& operator=(const ServeContext&) = delete;
@@ -53,12 +46,6 @@ class ServeContext {
     flags_.clear();
     step_ = 0;
   }
-
-  /// Attach (or detach, with nullptr) the worker-thread handle. Schemes
-  /// without kGroupParallel — and group-parallel schemes given no
-  /// executor — serve every group on the calling thread.
-  void set_executor(util::Executor* executor) { executor_ = executor; }
-  [[nodiscard]] util::Executor* executor() const { return executor_; }
 
   /// Output span: read_values()[i] receives the value of plan.reads[i].
   [[nodiscard]] std::span<Word> read_values() const { return read_values_; }
@@ -74,13 +61,11 @@ class ServeContext {
   // ----- per-read outage flags -----
 
   /// Materialize the flag array (one byte per read, all clear). Schemes
-  /// serving under fault hooks call this up front — before any group
-  /// fan-out.
+  /// serving under fault hooks call this before flagging.
   void enable_flags() { flags_.assign(read_values_.size(), 0); }
 
   /// Mark plan.reads[i] as a flagged loss (below the scheme's
   /// reconstruction threshold). Requires enable_flags() this step.
-  /// Safe to call concurrently for distinct i.
   void flag_read(std::size_t i) { flags_[i] = 1; }
 
   /// Per-read outage flags; empty when the scheme flagged nothing (or
@@ -94,7 +79,6 @@ class ServeContext {
   std::span<Word> read_values_;
   std::vector<std::uint8_t> flags_;
   std::uint64_t step_ = 0;
-  util::Executor* executor_ = nullptr;
 };
 
 }  // namespace pramsim::pram

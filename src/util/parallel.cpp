@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
-#include <cstdint>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -64,202 +61,6 @@ void serial_for(std::size_t begin, std::size_t end,
   for (std::size_t i = begin; i < end; ++i) {
     fn(i);
   }
-}
-
-// ---- Executor: parked worker pool for intra-step fan-out -------------------
-
-struct Executor::Pool {
-  explicit Pool(std::size_t n_threads) {
-    threads.reserve(n_threads);
-    for (std::size_t w = 0; w < n_threads; ++w) {
-      threads.emplace_back([this, w] { worker_loop(w + 1); });
-    }
-  }
-
-  ~Pool() {
-    {
-      const std::lock_guard lock(mutex);
-      stopping.store(true, std::memory_order_relaxed);
-      generation.fetch_add(1, std::memory_order_release);
-    }
-    wake.notify_all();
-    for (auto& t : threads) {
-      t.join();
-    }
-  }
-
-  /// Dispatch one job: `workers` total chunks (chunk 0 is the caller's),
-  /// pool threads 1..workers-1 each take their fixed chunk. The static
-  /// slot assignment keeps the partition a pure function of (n, workers).
-  ///
-  /// The handshake is spin-assisted: workers spin briefly on the atomic
-  /// generation counter before parking on the condition variable, and
-  /// the caller spins on the remaining-chunks counter — a serve step's
-  /// fan-out lasts microseconds, so sleeping through it would cost more
-  /// than the chunks themselves.
-  void dispatch(std::size_t n, std::size_t workers,
-                const std::function<void(std::size_t, std::size_t)>& fn) {
-    const std::size_t chunk = (n + workers - 1) / workers;
-    std::size_t pending = 0;
-    for (std::size_t w = 1; w < workers; ++w) {
-      if (w * chunk < n) {
-        ++pending;
-      }
-    }
-    // Seqlock-style publication: job fields are relaxed atomics written
-    // BEFORE the generation release-bump; readers validate the
-    // generation after copying them (workers that straddle two
-    // dispatches — possible only for chunk-less slots — retry on a
-    // stale mix instead of acting on it).
-    job.store(&fn, std::memory_order_relaxed);
-    job_n.store(n, std::memory_order_relaxed);
-    job_chunk.store(chunk, std::memory_order_relaxed);
-    job_workers.store(workers, std::memory_order_relaxed);
-    remaining.store(pending, std::memory_order_relaxed);
-    {
-      // The mutex pairs the generation bump with sleeping workers'
-      // predicate check; spinning workers see the release store alone.
-      const std::lock_guard lock(mutex);
-      generation.fetch_add(1, std::memory_order_release);
-    }
-    if (sleepers.load(std::memory_order_acquire) > 0) {
-      wake.notify_all();
-    }
-    fn(0, std::min(n, chunk));
-    // Completion: spin briefly (pointless on a single hardware thread,
-    // where the workers need this core), then sleep on `done`.
-    for (std::uint32_t spin = 0; spin < spin_budget; ++spin) {
-      if (remaining.load(std::memory_order_acquire) == 0) {
-        return;
-      }
-    }
-    if (remaining.load(std::memory_order_acquire) != 0) {
-      std::unique_lock lock(mutex);
-      done.wait(lock, [&] {
-        return remaining.load(std::memory_order_acquire) == 0;
-      });
-    }
-  }
-
-  void worker_loop(std::size_t slot) {
-    std::uint64_t seen = 0;
-    for (;;) {
-      // Spin first: the next dispatch usually lands within microseconds.
-      std::uint64_t gen = generation.load(std::memory_order_acquire);
-      for (std::uint32_t spin = 0; gen == seen && spin < spin_budget;
-           ++spin) {
-        gen = generation.load(std::memory_order_acquire);
-      }
-      if (gen == seen) {
-        sleepers.fetch_add(1, std::memory_order_acq_rel);
-        std::unique_lock lock(mutex);
-        wake.wait(lock, [&] {
-          return stopping.load(std::memory_order_relaxed) ||
-                 generation.load(std::memory_order_acquire) != seen;
-        });
-        sleepers.fetch_sub(1, std::memory_order_acq_rel);
-        gen = generation.load(std::memory_order_acquire);
-      }
-      if (stopping.load(std::memory_order_relaxed)) {
-        return;
-      }
-      // Seqlock read: copy the job, then re-check the generation. A
-      // worker that was counted into `pending` always sees stable
-      // fields (the dispatcher cannot publish the next job until it
-      // finishes); only a chunk-less slot can catch the next dispatch
-      // mid-write, and the validation sends it back around the loop.
-      const auto* fn = job.load(std::memory_order_relaxed);
-      const std::size_t jn = job_n.load(std::memory_order_relaxed);
-      const std::size_t jc = job_chunk.load(std::memory_order_relaxed);
-      const std::size_t jw = job_workers.load(std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_acquire);
-      if (generation.load(std::memory_order_relaxed) != gen) {
-        continue;  // stale mix: retry against the new generation
-      }
-      seen = gen;
-      if (slot < jw && slot * jc < jn) {
-        const std::size_t lo = slot * jc;
-        const std::size_t hi = std::min(jn, lo + jc);
-        (*fn)(lo, hi);
-        if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          // Last chunk done: pair with a possibly-sleeping dispatcher
-          // (the empty critical section orders us against its wait).
-          { const std::lock_guard lock(mutex); }
-          done.notify_one();
-        }
-      }
-    }
-  }
-
-  std::mutex mutex;
-  std::condition_variable wake;
-  std::condition_variable done;
-  std::vector<std::thread> threads;
-  /// Spinning only pays when another hardware thread can make progress
-  /// while we burn cycles; on a single-core host go straight to sleep.
-  const std::uint32_t spin_budget =
-      std::thread::hardware_concurrency() > 1 ? 8192 : 0;
-  // Job slot: relaxed atomics published before the generation
-  // release-bump and validated seqlock-style by readers.
-  std::atomic<const std::function<void(std::size_t, std::size_t)>*> job{
-      nullptr};
-  std::atomic<std::size_t> job_n{0};
-  std::atomic<std::size_t> job_chunk{0};
-  std::atomic<std::size_t> job_workers{0};
-  std::atomic<std::size_t> remaining{0};
-  std::atomic<std::size_t> sleepers{0};
-  std::atomic<std::uint64_t> generation{0};
-  std::atomic<bool> stopping{false};
-};
-
-namespace {
-/// Leaf items per worker below which fanning out costs more than it buys.
-constexpr std::size_t kExecutorGrain = 768;
-/// Pool size cap: intra-step fan-out should never grab the whole host.
-constexpr std::size_t kExecutorMaxThreads = 8;
-}  // namespace
-
-Executor::Executor() = default;
-Executor::~Executor() = default;
-
-std::size_t Executor::plan_workers(std::size_t n, std::size_t work) const {
-  if (n <= 1) {
-    return 1;
-  }
-  const std::size_t forced =
-      g_workers_override.load(std::memory_order_relaxed);
-  if (forced != 0) {
-    // Cap at the pool size here, not just in run_with: callers size
-    // per-chunk scratch from this value, so it must equal the count the
-    // dispatcher actually partitions with.
-    return std::min({forced, n, kExecutorMaxThreads + 1});
-  }
-  // hardware_concurrency() is a syscall; this runs once per served step,
-  // so cache it (the core count does not change under us).
-  static const std::size_t hw = std::min<std::size_t>(
-      std::max<std::size_t>(std::thread::hardware_concurrency(), 1),
-      kExecutorMaxThreads + 1);
-  return std::clamp<std::size_t>(work / kExecutorGrain, 1, std::min(hw, n));
-}
-
-void Executor::run_with(
-    std::size_t n, std::size_t workers,
-    const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (n == 0) {
-    return;
-  }
-  // Clamp to the pool size too: chunks are assigned to fixed worker
-  // slots, so more chunks than slots (+ the caller) would never drain.
-  workers = std::clamp<std::size_t>(workers, 1,
-                                    std::min(n, kExecutorMaxThreads + 1));
-  if (workers <= 1) {
-    fn(0, n);
-    return;
-  }
-  if (pool_ == nullptr) {
-    pool_ = std::make_unique<Pool>(kExecutorMaxThreads);
-  }
-  pool_->dispatch(n, workers, fn);
 }
 
 }  // namespace pramsim::util

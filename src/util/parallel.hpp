@@ -11,7 +11,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <memory>
 
 namespace pramsim::util {
 
@@ -34,48 +33,9 @@ void parallel_for(std::size_t begin, std::size_t end,
 void serial_for(std::size_t begin, std::size_t end,
                 const std::function<void(std::size_t)>& fn);
 
-/// Persistent worker pool for fine-grained INTRA-step fan-out (the
-/// group-parallel serve backend). parallel_for spawns threads per call,
-/// which is fine for coarse shards but dominates a sub-millisecond serve
-/// step; an Executor keeps its workers parked on a condition variable
-/// between dispatches, so per-step overhead is one wake/join handshake.
-///
-/// Determinism contract: run() partitions [0, n) into contiguous chunks,
-/// one per worker, and the partition depends only on (n, worker count).
-/// Worker count honors set_parallel_workers_override, so A/B tests can
-/// pin 1 vs many — callers must make chunk results order-independent
-/// (disjoint output slots, or commutative telemetry merged in a fixed
-/// order) so ANY worker count yields bit-identical results.
-///
-/// Not thread-safe: one dispatch at a time per Executor (the serve
-/// contract already guarantees one serving thread).
-class Executor {
- public:
-  Executor();
-  ~Executor();
-  Executor(const Executor&) = delete;
-  Executor& operator=(const Executor&) = delete;
-
-  /// Workers a fan-out of `n` units totalling ~`work` leaf items would
-  /// get: min(override, n) when an override is set, else scaled so each
-  /// worker gets a meaningful slice of `work` (tiny steps stay serial).
-  [[nodiscard]] std::size_t plan_workers(std::size_t n,
-                                         std::size_t work) const;
-
-  /// Invoke fn(begin, end) over a contiguous partition of [0, n) with
-  /// `workers` chunks — pass a cached plan_workers() result, so the
-  /// chunk geometry (chunk = ceil(n / workers), chunk index =
-  /// begin / chunk) agrees with any per-chunk scratch the caller
-  /// pre-sized (plan_workers never exceeds the pool size, so the
-  /// dispatcher partitions with exactly this count). Chunk 0 runs on
-  /// the calling thread; blocks until every chunk completes. fn must
-  /// not throw.
-  void run_with(std::size_t n, std::size_t workers,
-                const std::function<void(std::size_t, std::size_t)>& fn);
-
- private:
-  struct Pool;
-  std::unique_ptr<Pool> pool_;  ///< lazily created on first parallel run
-};
+/// Empty placeholder; perfbench's `ServeContext ctx({}, &executor)` is
+/// its only user, and it goes when ROADMAP item 4 deletes SpanMemory and
+/// the replay.
+class Executor {};
 
 }  // namespace pramsim::util

@@ -368,14 +368,13 @@ struct WorkerOverrideGuard {
   ~WorkerOverrideGuard() { util::set_parallel_workers_override(0); }
 };
 
-// Results AND deterministic obs snapshots of a cached group-parallel
-// pipeline run must be bit-identical at 1 worker and at many, including
-// the cache's own counters and invalidation events.
-TEST(CachedMemory, GroupParallelCachedPipelineBitIdenticalAcrossWorkers) {
+// Results AND deterministic obs snapshots of a cached pipeline run must
+// be bit-identical at 1 worker and at many, including the cache's own
+// counters and invalidation events.
+TEST(CachedMemory, CachedPipelineBitIdenticalAcrossWorkers) {
   WorkerOverrideGuard guard;
   core::SchemeSpec spec{
       .kind = core::SchemeKind::kDmmpc, .n = 16, .seed = 3};
-  spec.backend = pram::ServeBackend::kGroupParallel;
   spec.cache_lines = 64;
   core::SimulationPipeline pipeline(spec);
   const faults::FaultSpec fault_spec{.seed = 41,

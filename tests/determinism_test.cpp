@@ -114,51 +114,14 @@ TEST(Determinism, DoubleBufferingDoesNotChangeResults) {
   }
 }
 
-// ----- Engine API v2: group-parallel serve inside the pipeline ---------
-
-// The kGroupParallel backend must not change ANY pipeline result — not
-// versus the serial backend, and not across executor worker counts. The
-// worker override steers both the shard-level parallel_for AND the
-// intra-step group fan-out, so this pins determinism at both levels at
-// once.
-TEST(Determinism, GroupParallelBackendBitIdenticalAcrossWorkersAndBackends) {
+// Scrub interleaved with the double-buffered pipeline: dynamic-onset
+// faults land mid-run, the driver scrubs every other step, and the whole
+// thing must stay bit-identical at any worker count.
+TEST(Determinism, ScrubbedStressBitIdenticalAcrossWorkerCounts) {
   WorkerOverrideGuard guard;
   for (const auto kind :
        {core::SchemeKind::kDmmpc, core::SchemeKind::kHashed}) {
-    core::SchemeSpec spec{.kind = kind, .n = 16, .seed = 3};
-    const core::StressOptions options{
-        .steps_per_family = 4, .seed = 9, .trials = 2};
-
-    spec.backend = pram::ServeBackend::kSerial;
-    core::SimulationPipeline serial_pipeline(spec);
-    const auto serial = serial_pipeline.run_stress(options);
-
-    spec.backend = pram::ServeBackend::kGroupParallel;
-    core::SimulationPipeline gp_pipeline(spec);
-    ASSERT_EQ(gp_pipeline.scheme().backend,
-              pram::ServeBackend::kGroupParallel)
-        << core::to_string(kind);
-    util::set_parallel_workers_override(1);
-    const auto gp_serial_workers = gp_pipeline.run_stress(options);
-    util::set_parallel_workers_override(many_workers());
-    const auto gp_many_workers = gp_pipeline.run_stress(options);
-    util::set_parallel_workers_override(0);
-
-    expect_identical(serial, gp_serial_workers, core::to_string(kind));
-    expect_identical(serial, gp_many_workers, core::to_string(kind));
-  }
-}
-
-// Scrub interleaved with the double-buffered pipeline under the context
-// API: dynamic-onset faults land mid-run, the driver scrubs every other
-// step, and the whole thing must stay bit-identical at any worker count,
-// with the group-parallel backend serving inside the shards.
-TEST(Determinism, ScrubbedGroupParallelStressBitIdenticalAcrossWorkerCounts) {
-  WorkerOverrideGuard guard;
-  for (const auto kind :
-       {core::SchemeKind::kDmmpc, core::SchemeKind::kHashed}) {
-    core::SchemeSpec spec{.kind = kind, .n = 16, .seed = 3};
-    spec.backend = pram::ServeBackend::kGroupParallel;
+    const core::SchemeSpec spec{.kind = kind, .n = 16, .seed = 3};
     core::SimulationPipeline pipeline(spec);
     const faults::FaultSpec fault_spec{.seed = 41,
                                        .module_kill_rate = 0.25,
@@ -189,10 +152,9 @@ TEST(Determinism, ScrubbedGroupParallelStressBitIdenticalAcrossWorkerCounts) {
 
 // The deterministic obs snapshot (include_timings = false: counters,
 // gauges, histograms, phase counts, journal contents) must be BYTE
-// identical across executor worker counts {1, 2, 4} and across reruns of
-// the same seed — the per-shard sinks fold in shard order, and the
-// journal commits each step in canonical order regardless of how the
-// group fan-out interleaved.
+// identical across worker counts {1, 2, 4} and across reruns of the same
+// seed — the per-shard sinks fold in shard order, and the journal
+// commits each step in canonical order.
 TEST(Determinism, ObsSnapshotBitIdenticalAcrossWorkersAndReruns) {
   if (!obs::kEnabled) {
     GTEST_SKIP() << "compiled with PRAMSIM_OBS=OFF";
@@ -200,8 +162,7 @@ TEST(Determinism, ObsSnapshotBitIdenticalAcrossWorkersAndReruns) {
   WorkerOverrideGuard guard;
   for (const auto kind :
        {core::SchemeKind::kDmmpc, core::SchemeKind::kHashed}) {
-    core::SchemeSpec spec{.kind = kind, .n = 16, .seed = 3};
-    spec.backend = pram::ServeBackend::kGroupParallel;
+    const core::SchemeSpec spec{.kind = kind, .n = 16, .seed = 3};
     core::SimulationPipeline pipeline(spec);
     const faults::FaultSpec fault_spec{.seed = 41,
                                        .module_kill_rate = 0.25,
@@ -265,24 +226,17 @@ void expect_crash_identical(const core::CrashRecoveryResult& a,
 
 // The whole crash-and-recover trajectory — kill step, durable horizon,
 // checkpoint/WAL byte counts, replay record counts, bit-exactness — must
-// not depend on the executor worker count, including with the
-// group-parallel serve backend fanning out inside each step.
+// not depend on the worker count.
 TEST(Determinism, CrashRecoveryBitIdenticalAcrossWorkerCounts) {
   WorkerOverrideGuard guard;
-  std::vector<core::SchemeSpec> specs = {
+  const std::vector<core::SchemeSpec> specs = {
       {.kind = core::SchemeKind::kDmmpc, .n = 16, .seed = 3},
       {.kind = core::SchemeKind::kIda, .n = 16, .seed = 3},
   };
-  core::SchemeSpec gp{.kind = core::SchemeKind::kDmmpc, .n = 16, .seed = 3};
-  gp.backend = pram::ServeBackend::kGroupParallel;
-  specs.push_back(gp);
 
   std::size_t index = 0;
   for (const auto& spec : specs) {
     core::SimulationPipeline pipeline(spec);
-    if (spec.backend == pram::ServeBackend::kGroupParallel) {
-      ASSERT_EQ(pipeline.scheme().backend, pram::ServeBackend::kGroupParallel);
-    }
     core::CrashRecoveryOptions options;
     options.steps = 20;
     options.seed = 17;

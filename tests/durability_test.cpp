@@ -316,11 +316,6 @@ struct MatrixScheme {
 const std::vector<MatrixScheme>& matrix_schemes() {
   static const std::vector<MatrixScheme> schemes = {
       {"dmmpc", {.kind = core::SchemeKind::kDmmpc, .n = 16, .seed = 3}},
-      {"dmmpc_gp",
-       {.kind = core::SchemeKind::kDmmpc,
-        .n = 16,
-        .seed = 3,
-        .backend = pram::ServeBackend::kGroupParallel}},
       {"ida", {.kind = core::SchemeKind::kIda, .n = 16, .seed = 3}},
       {"hashed", {.kind = core::SchemeKind::kHashed, .n = 16, .seed = 3}},
   };
@@ -421,7 +416,6 @@ void expect_kill_point_invariants(const core::CrashRecoveryResult& result,
 
 TEST_P(CrashMatrixTest, RecoversBitExactWithZeroLostCommittedWrites) {
   core::SimulationPipeline pipeline(spec());
-  ASSERT_EQ(pipeline.scheme().backend, spec().backend);
   for (const std::uint64_t seed : {1ULL, 5ULL, 9ULL}) {
     core::CrashRecoveryOptions options;
     options.steps = 24;

@@ -5,18 +5,14 @@
 // the same plan stream, including wrapped in faults::FaultableMemory at
 // fault rate 0.
 //
-// Engine API v2 additions gated here too: serve(plan, ctx) under the
-// kGroupParallel backend must match FlatMemory AND be bit-identical to
-// the serial backend at any executor worker count, and per-read outage
-// flags must reach ServeContext identically through serve() and the
-// step() convenience entry (native schemes and the FaultableMemory
-// wrapper).
+// Per-read outage flags must reach ServeContext identically through
+// serve() and the step() convenience entry (native schemes and the
+// FaultableMemory wrapper).
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <memory>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "core/driver.hpp"
@@ -26,7 +22,6 @@
 #include "faults/faultable_memory.hpp"
 #include "pram/serve_context.hpp"
 #include "pram/trace.hpp"
-#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace pramsim {
@@ -188,16 +183,15 @@ TEST(PlanBuilder, ReusedBuilderMatchesFreshBuilder) {
 // traffic through serve(plan) must produce the same read values and the
 // same committed memory as the ideal FlatMemory served the same plan
 // stream — including with the scheme wrapped in a FaultableMemory at
-// fault rate 0, and under the group-parallel backend.
+// fault rate 0.
 class PlanServeTest : public ::testing::TestWithParam<core::SchemeKind> {};
 
 void expect_serve_matches_flat(pram::MemorySystem& memory, std::uint32_t n,
-                               const char* name,
-                               util::Executor* executor = nullptr) {
+                               const char* name) {
   const std::uint64_t m = memory.size();
   pram::FlatMemory flat(m);
   util::Rng rng(23);
-  pram::ServeContext ctx({}, executor);
+  pram::ServeContext ctx;
   pram::ServeContext flat_ctx;
   core::PlanBuilder builder;
   for (int s = 0; s < 12; ++s) {
@@ -253,145 +247,6 @@ INSTANTIATE_TEST_SUITE_P(EverySchemeKind, PlanServeTest,
                            }
                            return name;
                          });
-
-/// Restore the automatic worker policy even when an assertion fails.
-struct WorkerOverrideGuard {
-  ~WorkerOverrideGuard() { util::set_parallel_workers_override(0); }
-};
-
-// ----- Engine API v2: ServeContext + group-parallel backend ------------
-
-// For EVERY SchemeKind, the kGroupParallel backend (downgraded to serial
-// by schemes without the capability) must stay value-equivalent to
-// FlatMemory when served through the context entry with a live executor
-// fanning groups across workers.
-TEST_P(PlanServeTest, GroupParallelServeMatchesFlatMemory) {
-  WorkerOverrideGuard guard;
-  util::set_parallel_workers_override(4);
-  const std::uint32_t n = 16;
-  core::SchemeSpec spec{.kind = GetParam(), .n = n, .seed = 5};
-  spec.backend = pram::ServeBackend::kGroupParallel;
-  auto memory = core::make_memory(spec);
-  util::Executor executor;
-  expect_serve_matches_flat(*memory, n, core::to_string(GetParam()),
-                            &executor);
-}
-
-// The schemes shipping native group-parallel serve must actually engage
-// it (capability + plan groups), and the backend must be bit-identical
-// to the serial backend at every worker count — values, committed state,
-// reliability telemetry, and outage flags — healthy AND degraded. The
-// sweep crosses every native scheme with region widths 1 and 8, pinning
-// the frozen-structure rule (region rows pre-materialized before the
-// fan-out) at wide granularity too.
-class GroupParallelBackendTest
-    : public ::testing::TestWithParam<
-          std::tuple<core::SchemeKind, std::uint32_t>> {};
-
-void drive_backend(core::SchemeSpec spec, pram::ServeBackend backend,
-                   std::size_t workers, const faults::FaultModel* hooks,
-                   std::vector<pram::Word>& all_values,
-                   std::vector<std::uint8_t>& all_flags,
-                   pram::ReliabilityStats& stats,
-                   std::vector<pram::Word>& final_cells) {
-  WorkerOverrideGuard guard;
-  util::set_parallel_workers_override(workers);
-  spec.backend = backend;
-  auto memory = core::make_memory(spec);
-  if (backend == pram::ServeBackend::kGroupParallel) {
-    ASSERT_TRUE(memory->capabilities() & pram::kGroupParallel)
-        << core::to_string(spec.kind);
-    ASSERT_TRUE(memory->wants_plan_groups());
-  }
-  if (hooks != nullptr) {
-    ASSERT_TRUE(memory->set_fault_hooks(hooks));
-  }
-  util::Rng rng(31);
-  util::Executor executor;
-  pram::ServeContext ctx({}, &executor);
-  core::PlanBuilder builder;
-  std::vector<pram::Word> values;
-  for (int s = 0; s < 10; ++s) {
-    const auto batch = pram::make_batch(pram::TraceFamily::kUniform,
-                                        spec.n, memory->size(), rng);
-    const auto& plan = builder.build(batch, *memory);
-    values.resize(plan.reads.size());
-    ctx.bind(values);
-    memory->serve(plan, ctx);
-    all_values.insert(all_values.end(), values.begin(), values.end());
-    if (ctx.flags().empty()) {
-      all_flags.insert(all_flags.end(), plan.reads.size(), 0);
-    } else {
-      all_flags.insert(all_flags.end(), ctx.flags().begin(),
-                       ctx.flags().end());
-    }
-  }
-  stats = memory->reliability();
-  for (std::uint32_t v = 0; v < 4 * spec.n; ++v) {
-    final_cells.push_back(memory->peek(VarId(v)));
-  }
-}
-
-TEST_P(GroupParallelBackendTest, BitIdenticalToSerialAtAnyWorkerCount) {
-  const core::SchemeSpec spec{.kind = std::get<0>(GetParam()),
-                              .n = 16,
-                              .seed = 7,
-                              .region_words = std::get<1>(GetParam())};
-  const faults::FaultSpec fault_spec{.seed = 99, .module_kill_rate = 0.4,
-                                     .stuck_rate = 0.05,
-                                     .corruption_rate = 0.2};
-  for (const bool faulty : {false, true}) {
-    const auto n_modules = core::make_memory(spec)->num_modules();
-    const faults::FaultModel model(fault_spec, n_modules);
-    const faults::FaultModel* hooks = faulty ? &model : nullptr;
-
-    std::vector<pram::Word> serial_values, gp1_values, gp4_values;
-    std::vector<std::uint8_t> serial_flags, gp1_flags, gp4_flags;
-    pram::ReliabilityStats serial_stats, gp1_stats, gp4_stats;
-    std::vector<pram::Word> serial_cells, gp1_cells, gp4_cells;
-    drive_backend(spec, pram::ServeBackend::kSerial, 1, hooks,
-                  serial_values, serial_flags, serial_stats, serial_cells);
-    drive_backend(spec, pram::ServeBackend::kGroupParallel, 1, hooks,
-                  gp1_values, gp1_flags, gp1_stats, gp1_cells);
-    drive_backend(spec, pram::ServeBackend::kGroupParallel, 4, hooks,
-                  gp4_values, gp4_flags, gp4_stats, gp4_cells);
-
-    EXPECT_EQ(serial_values, gp1_values) << (faulty ? "faulty" : "healthy");
-    EXPECT_EQ(serial_values, gp4_values) << (faulty ? "faulty" : "healthy");
-    EXPECT_EQ(serial_flags, gp1_flags);
-    EXPECT_EQ(serial_flags, gp4_flags);
-    EXPECT_EQ(serial_cells, gp1_cells);
-    EXPECT_EQ(serial_cells, gp4_cells);
-    EXPECT_EQ(serial_stats.reads_served, gp4_stats.reads_served);
-    EXPECT_EQ(serial_stats.faults_masked, gp4_stats.faults_masked);
-    EXPECT_EQ(serial_stats.uncorrectable, gp4_stats.uncorrectable);
-    EXPECT_EQ(serial_stats.erasures_skipped, gp4_stats.erasures_skipped);
-    EXPECT_EQ(serial_stats.units_faulty, gp4_stats.units_faulty);
-    EXPECT_EQ(serial_stats.writes_dropped, gp4_stats.writes_dropped);
-    EXPECT_EQ(serial_stats.corrupt_stores, gp4_stats.corrupt_stores);
-    if (faulty) {
-      EXPECT_GT(serial_stats.reads_served, 0u);
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    NativeGroupParallelSchemes, GroupParallelBackendTest,
-    ::testing::Combine(::testing::Values(core::SchemeKind::kDmmpc,
-                                         core::SchemeKind::kUwMpc,
-                                         core::SchemeKind::kHpMot,
-                                         core::SchemeKind::kHashed),
-                       ::testing::Values(1u, 8u)),
-    [](const ::testing::TestParamInfo<
-        std::tuple<core::SchemeKind, std::uint32_t>>& info) {
-      std::string name = core::to_string(std::get<0>(info.param));
-      for (auto& ch : name) {
-        if (!std::isalnum(static_cast<unsigned char>(ch))) {
-          ch = '_';
-        }
-      }
-      return name + "_w" + std::to_string(std::get<1>(info.param));
-    });
 
 // Reads under erasure served through serve(plan, ctx) must be flagged
 // exactly as the step() convenience entry reports them through

@@ -205,57 +205,48 @@ TEST(Scrub, RecoveryTrajectoriesAreBitIdenticalAcrossReruns) {
   EXPECT_EQ(a.recovery_steps, b.recovery_steps);
 }
 
-TEST(Scrub, RecoveryTrajectoryInvariantUnderGroupParallelServe) {
-  // Engine API v2 gate: run_recovery serves through the context entry
-  // with a live executor, and replica-level FaultableMemory forwards the
-  // plan to the inner scheme's native serve — so the group-parallel
-  // backend really runs inside the probe. Its trajectory (scrub passes
-  // interleaved, dynamic onset mid-run) must reproduce the serial
-  // backend's bit-for-bit at any worker override.
-  core::SchemeSpec serial_spec{
-      .kind = core::SchemeKind::kDmmpc, .n = 16, .seed = 33};
-  core::SchemeSpec gp_spec = serial_spec;
-  gp_spec.backend = pram::ServeBackend::kGroupParallel;
+TEST(Scrub, RecoveryTrajectoryInvariantAcrossWorkerCounts) {
+  // run_recovery serves its probe on the calling thread, so the
+  // trajectory (scrub passes interleaved, dynamic onset mid-run) must
+  // reproduce bit-for-bit at any worker override.
   faults::FaultSpec fault{.seed = 2027, .module_kill_rate = 0.15};
   fault.onset_min = 8;
   fault.onset_max = 8;
   const core::RecoveryOptions options{
       .steps = 32, .seed = 44, .scrub_interval = 4, .scrub_budget = 128};
-  core::SimulationPipeline serial_pipeline(serial_spec);
-  core::SimulationPipeline gp_pipeline(gp_spec);
-  ASSERT_EQ(gp_pipeline.scheme().backend,
-            pram::ServeBackend::kGroupParallel);
-  const auto baseline = serial_pipeline.run_recovery(fault, options);
+  core::SimulationPipeline pipeline(
+      {.kind = core::SchemeKind::kDmmpc, .n = 16, .seed = 33});
+  const auto baseline = pipeline.run_recovery(fault, options);
   for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
     util::set_parallel_workers_override(workers);
-    const auto gp = gp_pipeline.run_recovery(fault, options);
+    const auto run = pipeline.run_recovery(fault, options);
     util::set_parallel_workers_override(0);
-    ASSERT_EQ(baseline.trajectory.size(), gp.trajectory.size()) << workers;
+    ASSERT_EQ(baseline.trajectory.size(), run.trajectory.size()) << workers;
     for (std::size_t i = 0; i < baseline.trajectory.size(); ++i) {
-      EXPECT_EQ(baseline.trajectory[i].reads, gp.trajectory[i].reads)
+      EXPECT_EQ(baseline.trajectory[i].reads, run.trajectory[i].reads)
           << workers << " step " << i;
-      EXPECT_EQ(baseline.trajectory[i].masked, gp.trajectory[i].masked)
+      EXPECT_EQ(baseline.trajectory[i].masked, run.trajectory[i].masked)
           << workers << " step " << i;
       EXPECT_EQ(baseline.trajectory[i].uncorrectable,
-                gp.trajectory[i].uncorrectable)
+                run.trajectory[i].uncorrectable)
           << workers << " step " << i;
-      EXPECT_EQ(baseline.trajectory[i].wrong, gp.trajectory[i].wrong)
+      EXPECT_EQ(baseline.trajectory[i].wrong, run.trajectory[i].wrong)
           << workers << " step " << i;
-      EXPECT_EQ(baseline.trajectory[i].repaired, gp.trajectory[i].repaired)
+      EXPECT_EQ(baseline.trajectory[i].repaired, run.trajectory[i].repaired)
           << workers << " step " << i;
       EXPECT_EQ(baseline.trajectory[i].relocated,
-                gp.trajectory[i].relocated)
+                run.trajectory[i].relocated)
           << workers << " step " << i;
       EXPECT_DOUBLE_EQ(baseline.trajectory[i].degraded_rate,
-                       gp.trajectory[i].degraded_rate)
+                       run.trajectory[i].degraded_rate)
           << workers << " step " << i;
     }
-    EXPECT_EQ(baseline.recovered_step, gp.recovered_step) << workers;
-    EXPECT_EQ(baseline.recovery_steps, gp.recovery_steps) << workers;
+    EXPECT_EQ(baseline.recovered_step, run.recovered_step) << workers;
+    EXPECT_EQ(baseline.recovery_steps, run.recovery_steps) << workers;
     EXPECT_EQ(baseline.reliability.faults_masked,
-              gp.reliability.faults_masked)
+              run.reliability.faults_masked)
         << workers;
-    EXPECT_EQ(baseline.reliability.wrong_reads, gp.reliability.wrong_reads)
+    EXPECT_EQ(baseline.reliability.wrong_reads, run.reliability.wrong_reads)
         << workers;
   }
 }

@@ -1,5 +1,5 @@
 // pramlint fixture: the ban-thread escape hatch — src/util/parallel.*
-// owns the raw primitives that util::Executor wraps.
+// owns the raw primitives that util::parallel_for wraps.
 // expect: none
 #include <mutex>
 #include <thread>

@@ -30,8 +30,8 @@ Rule catalog (docs/static-analysis.md is the narrative version):
     ban-thread      std::thread / jthread / async / mutex /
                     condition_variable / <future> outside
                     src/util/parallel.* — threading goes through
-                    util::Executor / util::parallel_for (the documented
-                    driver double-buffer site is allowlisted)
+                    util::parallel_for (the documented driver
+                    double-buffer site is allowlisted)
     unordered-iter  range-for / .begin() iteration over a
                     std::unordered_{map,set} in src/: iteration order is
                     implementation-defined, so any fold over it that
@@ -150,7 +150,7 @@ HINTS = {
                "(SchemeSpec, StressOptions, ...)",
     "ban-chrono": "use util::Stopwatch (src/util/stopwatch.hpp); raw "
                   "chrono is allowed only inside it and under bench/",
-    "ban-thread": "use util::parallel_for / util::Executor; a genuinely "
+    "ban-thread": "use util::parallel_for; a genuinely "
                   "new threading site needs an allow.txt entry with a "
                   "written rationale",
     "unordered-iter": "sort the keys first (snapshot/telemetry order), "

@@ -30,8 +30,9 @@ namespace pramsim::bench {
 ///     introduced; static sweeps with scrubbing disabled and onset 0
 ///     remain identical to v2).
 /// v4: every file carries a "manifest" object (scheme/seed/workers/
-///     region width/backend/obs) identifying the run configuration;
-///     numeric series are unchanged from v3.
+///     backend/obs) identifying the run configuration; numeric series
+///     are unchanged from v3. (Its former region-width key, 0 on every
+///     run once storage regions were removed, was dropped in place.)
 inline constexpr int kBenchSchemaVersion = 4;
 
 /// Run-identity stamp mirrored into every BENCH_*.json: enough context
@@ -43,7 +44,6 @@ struct RunManifest {
   std::uint64_t seed = 0;    ///< base RNG seed of the experiment
   std::size_t workers =
       util::parallel_workers(1u << 20);  ///< realized worker ceiling
-  std::uint32_t region_width = 0;        ///< region granularity (0 = n/a)
   std::string backend;       ///< serve backend, e.g. "serial"
   bool obs_enabled = false;  ///< observability attached during timing?
 
@@ -51,7 +51,6 @@ struct RunManifest {
     return std::string("{\"scheme\": \"") + util::json_escape(scheme) +
            "\", \"seed\": " + std::to_string(seed) +
            ", \"workers\": " + std::to_string(workers) +
-           ", \"region_width\": " + std::to_string(region_width) +
            ", \"backend\": \"" + util::json_escape(backend) +
            "\", \"obs_enabled\": " + (obs_enabled ? "true" : "false") +
            ", \"obs_compiled\": " + (obs::kEnabled ? "true" : "false") +
@@ -67,6 +66,22 @@ inline void banner(const char* exp_id, const char* paper_artifact,
   std::printf("############################################################\n\n");
 }
 
+/// How a measured series compares with the paper's predicted shape.
+enum class FitVerdict : std::uint8_t {
+  kReproduced,       ///< the predicted shape is the best fit
+  kUndiscriminated,  ///< another shape fits best; predicted is within margin
+  kNotReproduced,    ///< the predicted shape trails the best by more
+};
+
+[[nodiscard]] inline const char* to_string(FitVerdict verdict) {
+  switch (verdict) {
+    case FitVerdict::kReproduced: return "reproduced";
+    case FitVerdict::kUndiscriminated: return "undiscriminated";
+    case FitVerdict::kNotReproduced: return "not_reproduced";
+  }
+  return "???";
+}
+
 /// Shape-fit summary for one measured series.
 struct FitReport {
   util::Table table{{"shape", "R^2", "slope", "intercept"}};
@@ -75,7 +90,7 @@ struct FitReport {
   std::string best_shape;
   double predicted_r2 = 0.0;
   double best_r2 = 0.0;
-  bool reproduced = false;
+  FitVerdict verdict = FitVerdict::kNotReproduced;
 };
 
 [[nodiscard]] inline FitReport make_fit_report(
@@ -97,23 +112,31 @@ struct FitReport {
   }
   report.best_shape = fits.front().shape_name;
   report.best_r2 = fits.front().fit.r_squared;
-  report.reproduced = report.predicted_r2 >= report.best_r2 - tie_margin;
+  if (report.best_shape == predicted_shape) {
+    report.verdict = FitVerdict::kReproduced;
+  } else if (report.predicted_r2 >= report.best_r2 - tie_margin) {
+    report.verdict = FitVerdict::kUndiscriminated;
+  }
   return report;
 }
 
 inline void print_fit(const FitReport& report) {
   report.table.print(4);
+  const char* verdict = "NOT REPRODUCED (predicted shape fits worse)";
+  if (report.verdict == FitVerdict::kReproduced) {
+    verdict = "REPRODUCED (predicted shape fits best)";
+  } else if (report.verdict == FitVerdict::kUndiscriminated) {
+    verdict = "UNDISCRIMINATED (another shape fits best; predicted "
+              "within the tie margin)";
+  }
   std::printf("-> predicted shape '%s': R^2 = %.4f, best = '%s' (%.4f): %s\n\n",
               report.predicted_shape.c_str(), report.predicted_r2,
-              report.best_shape.c_str(), report.best_r2,
-              report.reproduced ? "REPRODUCED (within tie margin)"
-                                : "shape differs — see EXPERIMENTS.md "
-                                  "discussion");
+              report.best_shape.c_str(), report.best_r2, verdict);
 }
 
 /// Print the R^2 of every candidate shape for a measured series and call
-/// out whether the paper-predicted shape wins (or statistically ties the
-/// winner, within `tie_margin` of R^2).
+/// out whether the paper-predicted shape wins, only ties the winner
+/// (within `tie_margin` of R^2), or loses.
 inline void report_fit(const std::string& series_name,
                        std::span<const double> n, std::span<const double> y,
                        const std::string& predicted_shape,
@@ -162,7 +185,9 @@ class Reporter {
         "\", \"predicted_r2\": " + std::to_string(report.predicted_r2) +
         ", \"best\": \"" + util::json_escape(report.best_shape) +
         "\", \"best_r2\": " + std::to_string(report.best_r2) +
-        ", \"reproduced\": " + (report.reproduced ? "true" : "false") +
+        ", \"verdict\": \"" + to_string(report.verdict) +
+        "\", \"reproduced\": " +
+        (report.verdict == FitVerdict::kReproduced ? "true" : "false") +
         ", \"table\": " + report.table.to_json() + "}");
   }
 

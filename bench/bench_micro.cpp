@@ -14,7 +14,6 @@
 #include "core/schemes.hpp"
 #include "ida/dispersal.hpp"
 #include "ida/gf256.hpp"
-#include "majority/copy_store.hpp"
 #include "majority/scheduler.hpp"
 #include "memmap/expansion.hpp"
 #include "memmap/memory_map.hpp"
@@ -64,9 +63,8 @@ Measurement measure(F&& op, std::uint64_t batch = 64) {
 }
 
 /// `items_per_op` is the logical unit count one call processes (words
-/// voted, words recoded, packets routed); bytes/s prices the same call in
-/// payload bytes (8 per word) so the region-width sweeps read directly as
-/// memory throughput.
+/// recoded, packets routed); bytes/s prices the same call in payload
+/// bytes (8 per word) where that reads as memory throughput.
 void add_row(util::Table& table, const std::string& kernel,
              const std::string& params, const Measurement& m,
              double items_per_op, double bytes_per_op = 0.0) {
@@ -127,101 +125,6 @@ int main() {
     }, 8);
     add_row(table, "ida_recover_words", "b=" + std::to_string(b), mr, b,
             8.0 * b);
-  }
-
-  // ---- region-width sweeps (the PR's tentpole numbers) --------------
-  // Majority vote, healthy path: one full certification sweep over 2^14
-  // stored words at r = 5 copies. Width 1 is today's word-at-a-time mode
-  // (one vote_region call per word — the W = 1 store is bit-identical to
-  // the classic layout); wider regions certify whole spans with memcmp.
-  for (const std::uint32_t w : {1u, 8u, 64u}) {
-    const std::uint64_t m_words = 1 << 14;
-    const std::uint32_t r = 5;
-    majority::CopyStore store(m_words, r, w);
-    util::Rng rng(12);
-    for (std::uint64_t v = 0; v < m_words; ++v) {
-      const auto value = static_cast<pram::Word>(rng.next());
-      for (std::uint32_t copy = 0; copy < r; ++copy) {
-        store.write(VarId(static_cast<std::uint32_t>(v)), copy, value, 1);
-      }
-    }
-    const std::uint64_t all_mask = (1ULL << r) - 1;
-    const auto m = measure([&] {
-      std::uint64_t unanimous = 0;
-      for (std::uint64_t region = 0; region < store.num_regions();
-           ++region) {
-        unanimous += store.vote_region(region, all_mask) >= 0 ? 1 : 0;
-      }
-      do_not_optimize(unanimous);
-    }, 1);
-    add_row(table, "majority_vote_sweep",
-            "m=2^14 r=5 w=" + std::to_string(w), m,
-            static_cast<double>(m_words), 8.0 * static_cast<double>(m_words));
-  }
-
-  // IDA recode, healthy path: 64 words through b = 8 blocks. Width 1 is
-  // today's per-block word mode (encode_words / recover_words per block);
-  // widths 8 and 64 recode 1 and 8 blocks per bulk codec call.
-  for (const std::uint32_t w : {1u, 8u, 64u}) {
-    const std::uint32_t b = 8;
-    const std::uint32_t d = 2 * b;
-    const std::uint32_t blocks = 8;  // 64 words total per op
-    const std::uint32_t per_call = std::max(1u, w / b);
-    ida::Disperser disperser({b, d});
-    util::Rng rng(13);
-    std::vector<pram::Word> words(blocks * b);
-    for (auto& word : words) {
-      word = static_cast<pram::Word>(rng.next());
-    }
-    std::vector<pram::Word> shares(static_cast<std::size_t>(d) * blocks);
-    const std::string params = "b=8 blocks=8 w=" + std::to_string(w);
-    const auto me = measure([&] {
-      if (w == 1) {
-        for (std::uint32_t t = 0; t < blocks; ++t) {
-          do_not_optimize(disperser.encode_words(
-              {words.data() + static_cast<std::size_t>(t) * b, b}));
-        }
-      } else {
-        for (std::uint32_t t = 0; t < blocks; t += per_call) {
-          disperser.encode_regions(
-              words.data() + static_cast<std::size_t>(t) * b, per_call,
-              shares.data() + t, blocks);
-        }
-        do_not_optimize(shares);
-      }
-    }, 4);
-    add_row(table, "ida_encode_region", params, me, 8.0 * b, 64.0 * b);
-
-    // Stage the share spans once (stride = blocks), then time decode.
-    for (std::uint32_t t = 0; t < blocks; t += per_call) {
-      disperser.encode_regions(words.data() + static_cast<std::size_t>(t) * b,
-                               std::max(1u, per_call), shares.data() + t,
-                               blocks);
-    }
-    std::vector<std::uint32_t> indices(b);
-    for (std::uint32_t j = 0; j < b; ++j) {
-      indices[j] = j;
-    }
-    std::vector<pram::Word> out(blocks * b);
-    std::vector<pram::Word> vals(b);
-    const auto md = measure([&] {
-      if (w == 1) {
-        for (std::uint32_t t = 0; t < blocks; ++t) {
-          for (std::uint32_t j = 0; j < b; ++j) {
-            vals[j] = shares[static_cast<std::size_t>(j) * blocks + t];
-          }
-          do_not_optimize(disperser.recover_words(indices, vals));
-        }
-      } else {
-        for (std::uint32_t t = 0; t < blocks; t += per_call) {
-          disperser.decode_regions(
-              indices, shares.data() + t, blocks, per_call,
-              out.data() + static_cast<std::size_t>(t) * b);
-        }
-        do_not_optimize(out);
-      }
-    }, 4);
-    add_row(table, "ida_decode_region", params, md, 8.0 * b, 64.0 * b);
   }
 
   {

@@ -54,27 +54,4 @@ std::uint32_t hb_c(std::uint64_t m_vars) {
       2, static_cast<std::uint32_t>(std::ceil(logm / loglogm)));
 }
 
-HbExpanderEngine::HbExpanderEngine(
-    std::shared_ptr<const memmap::MemoryMap> map,
-    majority::SchedulerConfig scheduler, std::uint32_t graph_degree,
-    std::uint64_t graph_seed)
-    : map_(std::move(map)),
-      scheduler_(scheduler),
-      graph_(scheduler.n_processors, graph_degree, graph_seed),
-      network_diameter_(graph_.diameter()) {
-  PRAMSIM_ASSERT(map_ != nullptr);
-  PRAMSIM_ASSERT(map_->redundancy() == 2 * scheduler_.c - 1);
-  PRAMSIM_ASSERT_MSG(map_->num_modules() == scheduler_.n_processors,
-                     "HB's BDN has one module per node");
-  PRAMSIM_ASSERT_MSG(graph_.connected(), "expander must be connected");
-}
-
-void HbExpanderEngine::run_step_into(
-    std::span<const majority::VarRequest> requests,
-    majority::EngineResult& out) {
-  majority::schedule_step_into(*map_, requests, scheduler_, schedule_scratch_,
-                               scratch_);
-  majority::fill_engine_result(schedule_scratch_, network_diameter_, out);
-}
-
 }  // namespace pramsim::core

@@ -10,15 +10,15 @@
 //    congests one output row), which is the contrast the paper draws
 //    with its deterministic schemes.
 //
-//  * HbExpanderEngine — Herley & Bilardi (1988): deterministic simulation
-//    on bounded-degree expander-based networks with redundancy
-//    r = Theta(log m / log log m). The protocol rounds come from the real
-//    two-stage scheduler over an M = n map at that redundancy; each round
-//    is charged the MEASURED diameter of a concrete random-regular
-//    expander (an actual graph, audited for connectivity, diameter and
-//    spectral gap — standing in for HB's constructive expanders exactly
-//    as the paper describes them: same asymptotics, better constants
-//    from randomness).
+//  * Herley & Bilardi (1988): deterministic simulation on bounded-degree
+//    expander-based networks with redundancy r = Theta(log m / log log m)
+//    (hb_c below). make_scheme runs it as a majority::DmmpcEngine over an
+//    M = n map at that redundancy, each protocol round charged the
+//    MEASURED diameter of a concrete random-regular expander (an actual
+//    graph, audited for connectivity, diameter and spectral gap —
+//    standing in for HB's constructive expanders exactly as the paper
+//    describes them: same asymptotics, better constants from
+//    randomness).
 //
 // Mask semantics: RanadeButterflyEngine has r = 1, so accessed_mask is
 // always 1 (bit 0); it cannot back a MajorityMemory (which needs odd
@@ -29,10 +29,8 @@
 #include <memory>
 
 #include "majority/engine.hpp"
-#include "majority/scheduler.hpp"
 #include "memmap/memory_map.hpp"
 #include "network/butterfly.hpp"
-#include "network/expander.hpp"
 
 namespace pramsim::core {
 
@@ -57,37 +55,6 @@ class RanadeButterflyEngine final : public majority::AccessEngine {
   std::shared_ptr<const memmap::MemoryMap> map_;
   std::uint32_t n_processors_;
   net::ButterflyShape shape_;
-};
-
-class HbExpanderEngine final : public majority::AccessEngine {
- public:
-  /// `map`: M == n_processors modules at r = 2c-1 = Theta(log m/loglog m)
-  /// (scheduler.c must match). `graph_degree` sets the expander degree.
-  HbExpanderEngine(std::shared_ptr<const memmap::MemoryMap> map,
-                   majority::SchedulerConfig scheduler,
-                   std::uint32_t graph_degree, std::uint64_t graph_seed);
-
-  void run_step_into(std::span<const majority::VarRequest> requests,
-                     majority::EngineResult& out) override;
-
-  [[nodiscard]] const memmap::MemoryMap& map() const override {
-    return *map_;
-  }
-  [[nodiscard]] std::uint32_t n_processors() const override {
-    return scheduler_.n_processors;
-  }
-  [[nodiscard]] const net::RegularGraph& graph() const { return graph_; }
-  [[nodiscard]] std::uint32_t cycles_per_round() const {
-    return network_diameter_;
-  }
-
- private:
-  std::shared_ptr<const memmap::MemoryMap> map_;
-  majority::SchedulerConfig scheduler_;
-  net::RegularGraph graph_;
-  std::uint32_t network_diameter_;
-  majority::ScheduleResult schedule_scratch_;
-  majority::ScheduleScratch scratch_;
 };
 
 /// HB's redundancy choice: the smallest odd r = 2c-1 with

@@ -5,12 +5,13 @@
 #include <limits>
 
 #include "cache/cached_memory.hpp"
-#include "core/alt_engine.hpp"
 #include "core/context_engines.hpp"
 #include "core/mot_engine.hpp"
 #include "hashing/mv_memory.hpp"
 #include "ida/ida_memory.hpp"
+#include "network/expander.hpp"
 #include "network/topology.hpp"
+#include "sortnet/batcher.hpp"
 #include "util/assert.hpp"
 #include "util/math.hpp"
 
@@ -57,13 +58,10 @@ double effective_eps(std::uint32_t n, std::uint64_t n_modules) {
 }
 
 /// Wrap a majority access engine into the unified memory interface and
-/// keep the protocol-introspection view alive. Reads the instance's
-/// (already clamped) region_words so every replicated kind honors the
-/// spec's storage-granularity knob through one seam.
+/// keep the protocol-introspection view alive.
 void install_engine(SchemeInstance& inst,
                     std::unique_ptr<majority::AccessEngine> engine) {
-  auto memory = std::make_unique<majority::MajorityMemory>(
-      std::move(engine), inst.region_words);
+  auto memory = std::make_unique<majority::MajorityMemory>(std::move(engine));
   inst.engine = &memory->engine();
   inst.memory = std::move(memory);
 }
@@ -120,7 +118,6 @@ SchemeInstance make_scheme(const SchemeSpec& spec) {
   inst.kind = spec.kind;
   inst.name = to_string(spec.kind);
   inst.m = vars_for(spec);
-  inst.region_words = std::max<std::uint32_t>(spec.region_words, 1);
   inst.guarantee = "deterministic worst-case";
 
   const double nd = spec.n;
@@ -204,10 +201,19 @@ SchemeInstance make_scheme(const SchemeSpec& spec) {
       inst.n_modules = spec.n;  // BDN: one module per node
       inst.eps_effective = 0.0;
       install_replicated_map(inst, memmap::uw_c(inst.m, spec.b), spec.seed);
-      auto engine = std::make_unique<AltBdnEngine>(
-          inst.map, scheduler_config(inst, spec));
-      inst.request_hops = engine->cycles_per_round();
-      install_engine(inst, std::move(engine));
+      // Alt, Hagerup, Mehlhorn & Preparata (1987) realize each protocol
+      // round by sorting its copy requests by destination module on a
+      // Batcher network, delivering along the sorted order and returning
+      // replies the same way: a round costs the concrete network's exact
+      // depth plus 2 log n delivery hops. The comparator network is real
+      // (src/sortnet); only its per-comparator data movement is folded
+      // into the depth charge, the quantity their analysis counts.
+      inst.request_hops =
+          sortnet::batcher_sort(spec.n).depth() +
+          2 * static_cast<std::uint64_t>(util::ilog2_ceil(spec.n));
+      install_engine(inst, std::make_unique<majority::DmmpcEngine>(
+                               inst.map, scheduler_config(inst, spec),
+                               inst.request_hops));
       inst.model = "BDN (sorting)";
       inst.time_unit = "cycles";
       inst.notes = "Alt et al. '87";
@@ -217,11 +223,14 @@ SchemeInstance make_scheme(const SchemeSpec& spec) {
       inst.n_modules = spec.n;  // modules at the expander's nodes
       inst.eps_effective = 0.0;
       install_replicated_map(inst, hb_c(inst.m), spec.seed);
-      auto engine = std::make_unique<HbExpanderEngine>(
-          inst.map, scheduler_config(inst, spec), /*graph_degree=*/6,
-          /*graph_seed=*/spec.seed + 101);
-      inst.request_hops = engine->cycles_per_round();
-      install_engine(inst, std::move(engine));
+      // Each protocol round crosses the measured diameter of a concrete
+      // 6-regular random expander on the n nodes.
+      const net::RegularGraph graph(spec.n, /*degree=*/6, spec.seed + 101);
+      PRAMSIM_ASSERT_MSG(graph.connected(), "expander must be connected");
+      inst.request_hops = graph.diameter();
+      install_engine(inst, std::make_unique<majority::DmmpcEngine>(
+                               inst.map, scheduler_config(inst, spec),
+                               inst.request_hops));
       inst.model = "BDN (expander)";
       inst.time_unit = "cycles";
       inst.notes = "HB'88; measured 6-regular expander";
@@ -259,20 +268,13 @@ SchemeInstance make_scheme(const SchemeSpec& spec) {
                   std::numeric_limits<std::uint32_t>::max()}));
       inst.n_modules = static_cast<std::uint32_t>(M64);
       inst.eps_effective = effective_eps(spec.n, inst.n_modules);
-      // The word-granularity knob lands here in BLOCKS (a region spans
-      // whole blocks); region_words below b collapses to the classic
-      // one-row-per-block layout.
-      const std::uint32_t region_blocks =
-          std::max<std::uint32_t>(inst.region_words / block, 1);
-      inst.region_words = region_blocks * block;
       inst.memory = std::make_unique<ida::IdaMemory>(
           inst.m, ida::IdaMemoryConfig{.b = block,
                                        .d = d,
                                        .n_modules = inst.n_modules,
                                        .seed = spec.seed,
                                        .check_shares =
-                                           spec.ida_check_shares,
-                                       .region_blocks = region_blocks});
+                                           spec.ida_check_shares});
       if (spec.ida_check_shares) {
         inst.name += "+ck";  // share checksums: detection bought with 2x
       }
@@ -284,7 +286,6 @@ SchemeInstance make_scheme(const SchemeSpec& spec) {
     case SchemeKind::kHashed: {
       inst.n_modules = spec.n;  // the MPC: one module per processor
       inst.eps_effective = 0.0;
-      inst.region_words = 1;  // single-copy hashing has no region layout
       inst.memory = std::make_unique<hashing::MvMemory>(
           inst.m, hashing::MvMemoryConfig{.n_modules = inst.n_modules,
                                           .k_wise = 2,

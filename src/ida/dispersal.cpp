@@ -1,8 +1,5 @@
 #include "ida/dispersal.hpp"
 
-#include <algorithm>
-#include <cstring>
-
 #include "util/assert.hpp"
 
 namespace pramsim::ida {
@@ -13,7 +10,7 @@ Disperser::Disperser(IdaParams params) : params_(params) {
   // Evaluation points are the d distinct nonzero elements alpha^0..alpha^(d-1);
   // they repeat after 255.
   PRAMSIM_ASSERT_MSG(params_.d <= 255, "GF(256) supports at most 255 shares");
-  // Generator matrix for the bulk codec: share i is the polynomial
+  // Generator matrix for the matrix codec: share i is the polynomial
   // evaluated at alpha^i, i.e. the dot product of the block with row i.
   gen_.resize(static_cast<std::size_t>(params_.d) * params_.b);
   for (std::uint32_t i = 0; i < params_.d; ++i) {
@@ -157,40 +154,24 @@ void Disperser::recovery_matrix_into(std::span<const std::uint32_t> indices,
   }
 }
 
-void Disperser::encode_regions(const pram::Word* blocks, std::uint32_t count,
-                               pram::Word* shares, std::size_t stride) const {
-  PRAMSIM_ASSERT(count >= 1 && stride >= count);
+void Disperser::encode_block(const pram::Word* block,
+                             pram::Word* shares) const {
   const std::uint32_t b = params_.b;
-  const std::size_t span_bytes =
-      static_cast<std::size_t>(count) * sizeof(pram::Word);
-  // Transpose the block-major input into b contiguous word spans so each
-  // linear-combination step streams one span (byte lanes of a word are
-  // independent GF(256) streams, so spans need no lane structure).
-  span_scratch_.resize(static_cast<std::size_t>(b) * count);
-  for (std::uint32_t t = 0; t < count; ++t) {
-    for (std::uint32_t j = 0; j < b; ++j) {
-      span_scratch_[static_cast<std::size_t>(j) * count + t] =
-          blocks[static_cast<std::size_t>(t) * b + j];
-    }
-  }
-  const auto* in_bytes =
-      reinterpret_cast<const std::uint8_t*>(span_scratch_.data());
+  const auto* in_bytes = reinterpret_cast<const std::uint8_t*>(block);
   for (std::uint32_t i = 0; i < params_.d; ++i) {
-    pram::Word* out = shares + static_cast<std::size_t>(i) * stride;
-    std::memset(out, 0, span_bytes);
-    auto* out_bytes = reinterpret_cast<std::uint8_t*>(out);
+    shares[i] = 0;
+    auto* out_bytes = reinterpret_cast<std::uint8_t*>(shares + i);
     for (std::uint32_t j = 0; j < b; ++j) {
-      GF256::mul_span_accum(out_bytes, in_bytes + j * span_bytes, span_bytes,
+      GF256::mul_span_accum(out_bytes, in_bytes + j * sizeof(pram::Word),
+                            sizeof(pram::Word),
                             gen_[static_cast<std::size_t>(i) * b + j]);
     }
   }
 }
 
-void Disperser::decode_regions(std::span<const std::uint32_t> indices,
-                               const pram::Word* shares, std::size_t stride,
-                               std::uint32_t count,
-                               pram::Word* blocks_out) const {
-  PRAMSIM_ASSERT(count >= 1 && stride >= count);
+void Disperser::decode_block(std::span<const std::uint32_t> indices,
+                             const pram::Word* shares,
+                             pram::Word* block_out) const {
   const std::uint32_t b = params_.b;
   PRAMSIM_ASSERT(indices.size() == b);
   bool healthy = true;
@@ -207,26 +188,14 @@ void Disperser::decode_regions(std::span<const std::uint32_t> indices,
     recovery_matrix_into(indices, matrix_scratch_);
     matrix = &matrix_scratch_;
   }
-  const std::size_t span_bytes =
-      static_cast<std::size_t>(count) * sizeof(pram::Word);
-  span_scratch_.resize(static_cast<std::size_t>(b) * count);
-  auto* out_bytes = reinterpret_cast<std::uint8_t*>(span_scratch_.data());
+  const auto* in_bytes = reinterpret_cast<const std::uint8_t*>(shares);
   for (std::uint32_t k = 0; k < b; ++k) {
-    std::uint8_t* out_k = out_bytes + k * span_bytes;
-    std::memset(out_k, 0, span_bytes);
+    block_out[k] = 0;
+    auto* out_bytes = reinterpret_cast<std::uint8_t*>(block_out + k);
     for (std::uint32_t j = 0; j < b; ++j) {
-      GF256::mul_span_accum(
-          out_k,
-          reinterpret_cast<const std::uint8_t*>(
-              shares + static_cast<std::size_t>(j) * stride),
-          span_bytes, (*matrix)[static_cast<std::size_t>(k) * b + j]);
-    }
-  }
-  // Transpose the word-major scratch back into block-major output.
-  for (std::uint32_t t = 0; t < count; ++t) {
-    for (std::uint32_t k = 0; k < b; ++k) {
-      blocks_out[static_cast<std::size_t>(t) * b + k] =
-          span_scratch_[static_cast<std::size_t>(k) * count + t];
+      GF256::mul_span_accum(out_bytes, in_bytes + j * sizeof(pram::Word),
+                            sizeof(pram::Word),
+                            (*matrix)[static_cast<std::size_t>(k) * b + j]);
     }
   }
 }

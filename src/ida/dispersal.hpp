@@ -61,33 +61,24 @@ class Disperser {
       std::span<const std::uint32_t> indices,
       std::span<const pram::Word> shares) const;
 
-  // ---- bulk region codec (spans of consecutive blocks) ----
+  // ---- matrix codec (the memory scheme's hot path) ----
   //
   // The per-word API above re-derives the evaluation geometry on every
-  // call (and allocates its results); the region codec instead applies a
-  // precomputed GF(256) matrix to whole spans with the table-sliced
-  // multiply of GF256::mul_span_accum, so the cost of the setup is
-  // amortized over `count` consecutive blocks. Bit-identical to calling
-  // encode_words / recover_words once per block: both sides are exact
-  // field arithmetic evaluating the same polynomials.
-  //
-  // Layouts: `blocks` is block-major (word j of the t-th block at
-  // blocks[t*b + j], matching IdaMemory's decoded-store layout);
-  // share spans are strided (the span for position s starts at
-  // shares[s * stride], its t-th word belonging to the t-th block) so
-  // the codec reads/writes IdaMemory's share-major region rows in place.
+  // call (and allocates its results); the matrix codec instead applies a
+  // precomputed GF(256) matrix to whole words with the table-sliced
+  // multiply of GF256::mul_span_accum (a word's 8 byte lanes are
+  // independent GF(256) streams). Bit-identical to encode_words /
+  // recover_words: both sides are exact field arithmetic evaluating the
+  // same polynomials.
 
-  /// Bulk encode: recode `count` consecutive blocks into the d share
-  /// spans at shares[i * stride .. i * stride + count).
-  void encode_regions(const pram::Word* blocks, std::uint32_t count,
-                      pram::Word* shares, std::size_t stride) const;
+  /// Encode the b words at `block` into the d share words at `shares`.
+  void encode_block(const pram::Word* block, pram::Word* shares) const;
 
-  /// Bulk decode from b share spans: position j's span (at
-  /// shares[j * stride]) holds the words of share index indices[j].
-  /// Indices must be distinct and < d.
-  void decode_regions(std::span<const std::uint32_t> indices,
-                      const pram::Word* shares, std::size_t stride,
-                      std::uint32_t count, pram::Word* blocks_out) const;
+  /// Decode one block from b share words: `shares[j]` is the word of
+  /// share index indices[j]. Indices must be distinct and < d; the b
+  /// decoded words land at `block_out`, which must not alias `shares`.
+  void decode_block(std::span<const std::uint32_t> indices,
+                    const pram::Word* shares, pram::Word* block_out) const;
 
  private:
   /// The b x b recovery matrix M for a survivor index set: block word k
@@ -103,11 +94,10 @@ class Disperser {
   /// Cached recovery matrix for the healthy survivor set {0..b-1} (the
   /// only set the healthy serve path ever uses), built on first use.
   mutable std::vector<GF256::Elem> healthy_matrix_;
-  // Scratch reused across bulk calls (transpose buffers and the matrix
-  // for arbitrary survivor sets); mutable because the codec is logically
-  // const and IdaMemory decodes from const paths (peek).
+  /// Recovery matrix scratch for arbitrary survivor sets; mutable because
+  /// the codec is logically const and IdaMemory decodes from const paths
+  /// (peek).
   mutable std::vector<GF256::Elem> matrix_scratch_;
-  mutable std::vector<pram::Word> span_scratch_;
 };
 
 }  // namespace pramsim::ida

@@ -68,7 +68,7 @@ class GF256 {
     return exp_table()[i % 255];
   }
 
-  // ----- table-sliced span arithmetic (bulk encode/decode) -----
+  // ----- table-sliced span arithmetic (the matrix codec) -----
   //
   // A linear-combination step over a span multiplies every byte by ONE
   // field constant c. Slicing the 256x256 product table by c turns the

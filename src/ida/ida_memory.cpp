@@ -15,15 +15,6 @@ IdaMemory::IdaMemory(std::uint64_t m_vars, IdaMemoryConfig config)
       n_blocks_(util::ceil_div(m_vars, config.b)),
       placement_(n_blocks_, config.n_modules, config.d, config.seed) {
   PRAMSIM_ASSERT(config_.n_modules >= config_.d);
-  config_.region_blocks = std::max<std::uint32_t>(config_.region_blocks, 1);
-  n_regions_ = util::ceil_div(n_blocks_, config_.region_blocks);
-  // Region-row geometry (see the header): d share spans of R words, the
-  // matching checksum spans when check_shares, then the written-block
-  // flag bits.
-  const std::size_t R = config_.region_blocks;
-  flag_base_ = static_cast<std::size_t>(config_.d) * R *
-               (config_.check_shares ? 2 : 1);
-  row_words_ = flag_base_ + (R + 63) / 64;
   // One encoding of the all-zero block serves every untouched block, so
   // construction is O(d) regardless of m (sparse storage).
   const std::vector<pram::Word> zero_block(config_.b, 0);
@@ -42,54 +33,32 @@ pram::Word IdaMemory::share_checksum(std::uint64_t block, std::uint32_t j,
   return mix.next();
 }
 
-std::vector<pram::Word>& IdaMemory::region_row(std::uint64_t block) {
-  const auto [it, fresh] = shares_.try_emplace(region_of_block(block));
+std::vector<pram::Word>& IdaMemory::block_row(std::uint64_t block) {
+  const auto [it, fresh] = shares_.try_emplace(block);
   if (fresh) {
     auto& row = it->second;
-    row.assign(row_words_, 0);
-    // Every block slot starts as the shared zero encoding; checksums and
-    // written-block flags stay 0 (checksum_at falls back to the salted
-    // zero checksum for blocks whose flag is still clear).
-    const std::size_t R = config_.region_blocks;
-    for (std::uint32_t s = 0; s < config_.d; ++s) {
-      std::fill_n(row.begin() + static_cast<std::ptrdiff_t>(s * R), R,
-                  zero_shares_[s]);
-    }
+    row.assign(static_cast<std::size_t>(config_.d) *
+                   (config_.check_shares ? 2 : 1),
+               0);
+    std::copy(zero_shares_.begin(), zero_shares_.end(), row.begin());
   }
   return it->second;
 }
 
-bool IdaMemory::block_written(std::uint64_t block) const {
-  const auto it = shares_.find(region_of_block(block));
-  if (it == shares_.end()) {
-    return false;
-  }
-  const std::uint64_t t = block % config_.region_blocks;
-  const auto bits =
-      static_cast<std::uint64_t>(it->second[flag_base_ + t / 64]);
-  return ((bits >> (t % 64)) & 1ULL) != 0;
-}
-
 pram::Word IdaMemory::checksum_at(std::uint64_t block,
                                   std::uint32_t j) const {
-  if (!block_written(block)) {
+  const auto it = shares_.find(block);
+  if (it == shares_.end()) {
     // Unwritten block: the stored checksum is, by definition, the one
     // the zero encoding's writer would have computed.
     return share_checksum(block, j, zero_shares_[j]);
   }
-  const auto& row = shares_.at(region_of_block(block));
-  const std::size_t R = config_.region_blocks;
-  return row[static_cast<std::size_t>(config_.d) * R +
-             static_cast<std::size_t>(j) * R + block % R];
+  return it->second[config_.d + j];
 }
 
 pram::Word IdaMemory::share_at(std::uint64_t block, std::uint32_t j) const {
-  const auto it = shares_.find(region_of_block(block));
-  if (it == shares_.end()) {
-    return zero_shares_[j];
-  }
-  const std::size_t R = config_.region_blocks;
-  return it->second[static_cast<std::size_t>(j) * R + block % R];
+  const auto it = shares_.find(block);
+  return it == shares_.end() ? zero_shares_[j] : it->second[j];
 }
 
 void IdaMemory::placement_into_current(std::uint64_t block,
@@ -110,9 +79,9 @@ std::vector<pram::Word> IdaMemory::recover_block(std::uint64_t block,
                                                  std::uint32_t* erased,
                                                  std::uint32_t* faulty,
                                                  bool* ok) const {
+  std::vector<pram::Word> out(config_.b);
   if (hooks_ == nullptr) {
-    std::vector<pram::Word> out(config_.b);
-    decode_blocks_healthy(block, 1, out.data());
+    decode_healthy(block, out.data());
     return out;
   }
   std::vector<std::uint32_t> indices;
@@ -156,33 +125,24 @@ std::vector<pram::Word> IdaMemory::recover_block(std::uint64_t block,
   }
   if (indices.size() < config_.b) {
     *ok = false;
-    return std::vector<pram::Word>(config_.b, 0);
+    return out;  // the zero block
   }
-  // Same interpolation recover_words performs, routed through the bulk
-  // codec (count 1, stride 1): the recovery matrix folds the
-  // value-independent Lagrange factors, so the words are bit-identical
-  // by exact GF(256) arithmetic.
-  std::vector<pram::Word> out(config_.b);
-  disperser_.decode_regions(indices, vals.data(), 1, 1, out.data());
+  // Same interpolation recover_words performs, routed through the
+  // matrix codec: the recovery matrix folds the value-independent
+  // Lagrange factors, so the words are bit-identical by exact GF(256)
+  // arithmetic.
+  disperser_.decode_block(indices, vals.data(), out.data());
   return out;
 }
 
-void IdaMemory::decode_blocks_healthy(std::uint64_t first_block,
-                                      std::uint32_t count,
-                                      pram::Word* out) const {
-  PRAMSIM_ASSERT(count >= 1);
-  PRAMSIM_ASSERT(region_of_block(first_block) ==
-                 region_of_block(first_block + count - 1));
-  const auto it = shares_.find(region_of_block(first_block));
+void IdaMemory::decode_healthy(std::uint64_t block, pram::Word* out) const {
+  const auto it = shares_.find(block);
   if (it == shares_.end()) {
-    // Untouched region: the zero block decodes to zeros, exactly.
-    std::fill_n(out, static_cast<std::size_t>(count) * config_.b, 0);
+    // Untouched block: the zero encoding decodes to zeros, exactly.
+    std::fill_n(out, config_.b, 0);
     return;
   }
-  disperser_.decode_regions(identity_indices_,
-                            it->second.data() + first_block %
-                                                    config_.region_blocks,
-                            config_.region_blocks, count, out);
+  disperser_.decode_block(identity_indices_, it->second.data(), out);
 }
 
 std::vector<pram::Word> IdaMemory::decode_block(std::uint64_t block,
@@ -218,23 +178,13 @@ std::vector<pram::Word> IdaMemory::decode_block(std::uint64_t block,
 
 void IdaMemory::encode_block(std::uint64_t block,
                              std::span<const pram::Word> values) {
-  // One block is a bulk encode of count 1 (stride 1 packs the d share
-  // words densely into the scratch) — same Horner products the classic
-  // per-word encode_words computed, via the generator-matrix rows.
-  disperser_.encode_regions(values.data(), 1, encode_scratch_.data(), 1);
-  auto& row = region_row(block);
-  const std::size_t R = config_.region_blocks;
-  const std::uint64_t t = block % R;
-  row[flag_base_ + t / 64] = static_cast<pram::Word>(
-      static_cast<std::uint64_t>(row[flag_base_ + t / 64]) |
-      (1ULL << (t % 64)));
-  const std::size_t check_base = static_cast<std::size_t>(config_.d) * R;
+  disperser_.encode_block(values.data(), encode_scratch_.data());
+  auto& row = block_row(block);
   if (hooks_ == nullptr) {
     for (std::uint32_t j = 0; j < config_.d; ++j) {
-      row[static_cast<std::size_t>(j) * R + t] = encode_scratch_[j];
+      row[j] = encode_scratch_[j];
       if (config_.check_shares) {
-        row[check_base + static_cast<std::size_t>(j) * R + t] =
-            share_checksum(block, j, encode_scratch_[j]);
+        row[config_.d + j] = share_checksum(block, j, encode_scratch_[j]);
       }
     }
     return;
@@ -251,13 +201,12 @@ void IdaMemory::encode_block(std::uint64_t block,
     if (hooks_->corrupt_write(block, j, store_ops_, steps_served(), word)) {
       ++reliability_.corrupt_stores;
     }
-    row[static_cast<std::size_t>(j) * R + t] = word;
+    row[j] = word;
     if (config_.check_shares) {
       // The checksum is computed by the WRITER from the true encoded
       // word (and modeled as stored intact), so a corrupted data word
       // leaves a mismatched pair the next decode detects.
-      row[check_base + static_cast<std::size_t>(j) * R + t] =
-          share_checksum(block, j, encode_scratch_[j]);
+      row[config_.d + j] = share_checksum(block, j, encode_scratch_[j]);
     }
   }
 }
@@ -349,7 +298,7 @@ pram::MemStepCost IdaMemory::serve(const pram::AccessPlan& plan,
   auto decode_group = [&](std::size_t g) {
     const std::uint64_t blk = plan.group_keys[g];
     if (hooks_ == nullptr) {
-      decode_blocks_healthy(blk, 1, decoded_store_.data() + g * config_.b);
+      decode_healthy(blk, decoded_store_.data() + g * config_.b);
       return;
     }
     const auto vals = decode_block(blk, &group_status_[g]);
@@ -367,33 +316,9 @@ pram::MemStepCost IdaMemory::serve(const pram::AccessPlan& plan,
   }
   {
     obs::ScopedPhase timer(timing, obs::Phase::kDecode);
-    if (hooks_ == nullptr) {
-      // Healthy fast path: group keys ascend, and consecutive groups land
-      // block-major in decoded_store_, so each maximal run of consecutive
-      // read blocks inside one storage region recodes through ONE bulk
-      // decode_regions call over the stored share spans.
-      std::size_t g = 0;
-      while (g < n_groups) {
-        if (!group_has_read_[g]) {
-          ++g;
-          continue;
-        }
-        const std::uint64_t blk0 = plan.group_keys[g];
-        std::uint32_t len = 1;
-        while (g + len < n_groups && group_has_read_[g + len] &&
-               plan.group_keys[g + len] == blk0 + len &&
-               region_of_block(blk0 + len) == region_of_block(blk0)) {
-          ++len;
-        }
-        decode_blocks_healthy(blk0, len,
-                              decoded_store_.data() + g * config_.b);
-        g += len;
-      }
-    } else {
-      for (std::size_t g = 0; g < n_groups; ++g) {
-        if (group_has_read_[g]) {
-          decode_group(g);
-        }
+    for (std::size_t g = 0; g < n_groups; ++g) {
+      if (group_has_read_[g]) {
+        decode_group(g);
       }
     }
   }
@@ -524,8 +449,7 @@ pram::ScrubResult IdaMemory::scrub(std::uint64_t budget) {
     };
     if (!block_written(block)) {
       // Unwritten block: every share at index j still reads the shared
-      // zero encoding zero_shares_[j] (whether or not a neighbor write
-      // materialized its region row), which relocation preserves — so
+      // zero encoding zero_shares_[j], which relocation preserves — so
       // re-homing the dead shares restores full redundancy without
       // writing any share words.
       const std::uint32_t relocated = relocate_dead();
@@ -564,22 +488,20 @@ pram::ScrubResult IdaMemory::scrub(std::uint64_t budget) {
 void IdaMemory::snapshot_body(pram::SnapshotSink& sink) {
   put_u32(sink, config_.b);
   put_u32(sink, config_.d);
-  put_u32(sink, config_.region_blocks);
   put_u32(sink, config_.check_shares ? 1u : 0u);
-  put_u64(sink, row_words_);
 
-  std::vector<std::uint64_t> regions;
-  regions.reserve(shares_.size());
+  std::vector<std::uint64_t> blocks;
+  blocks.reserve(shares_.size());
   // pramlint: ordered-fold (keys collected then sorted before emission)
-  for (const auto& [region, row] : shares_) {
+  for (const auto& [block, row] : shares_) {
     (void)row;
-    regions.push_back(region);
+    blocks.push_back(block);
   }
-  std::sort(regions.begin(), regions.end());
-  put_u64(sink, regions.size());
-  for (const std::uint64_t region : regions) {
-    put_u64(sink, region);
-    const auto& row = shares_.at(region);
+  std::sort(blocks.begin(), blocks.end());
+  put_u64(sink, blocks.size());
+  for (const std::uint64_t block : blocks) {
+    put_u64(sink, block);
+    const auto& row = shares_.at(block);
     sink.write(row.data(), row.size() * sizeof(pram::Word));
   }
 
@@ -604,15 +526,10 @@ void IdaMemory::snapshot_body(pram::SnapshotSink& sink) {
 bool IdaMemory::restore_body(pram::SnapshotSource& source) {
   std::uint32_t b = 0;
   std::uint32_t d = 0;
-  std::uint32_t region_blocks = 0;
   std::uint32_t check_shares = 0;
-  std::uint64_t row_words = 0;
   if (!get_u32(source, b) || b != config_.b || !get_u32(source, d) ||
-      d != config_.d || !get_u32(source, region_blocks) ||
-      region_blocks != config_.region_blocks ||
-      !get_u32(source, check_shares) ||
-      (check_shares != 0) != config_.check_shares ||
-      !get_u64(source, row_words) || row_words != row_words_) {
+      d != config_.d || !get_u32(source, check_shares) ||
+      (check_shares != 0) != config_.check_shares) {
     return false;
   }
 
@@ -621,16 +538,18 @@ bool IdaMemory::restore_body(pram::SnapshotSource& source) {
   if (!get_u64(source, n_rows)) {
     return false;
   }
+  const std::size_t row_words =
+      static_cast<std::size_t>(config_.d) * (config_.check_shares ? 2 : 1);
   for (std::uint64_t i = 0; i < n_rows; ++i) {
-    std::uint64_t region = 0;
-    if (!get_u64(source, region) || region >= n_regions_) {
+    std::uint64_t block = 0;
+    if (!get_u64(source, block) || block >= n_blocks_) {
       return false;
     }
-    std::vector<pram::Word> row(row_words_);
-    if (!source.read(row.data(), row_words_ * sizeof(pram::Word))) {
+    std::vector<pram::Word> row(row_words);
+    if (!source.read(row.data(), row_words * sizeof(pram::Word))) {
       return false;
     }
-    shares_.insert_or_assign(region, std::move(row));
+    shares_.insert_or_assign(block, std::move(row));
   }
 
   relocated_.clear();

@@ -51,14 +51,6 @@ struct IdaMemoryConfig {
   /// few), never a lie. Costs one extra word per share (storage factor
   /// 2d/b instead of d/b); bench_faults quantifies the trade.
   bool check_shares = false;
-  /// Storage region granularity in BLOCKS: each region row stores the
-  /// shares of this many consecutive blocks contiguously per share index
-  /// (share-major), so the healthy serve path recodes whole runs of
-  /// blocks with one bulk Disperser::decode_regions/encode_regions call
-  /// over the stored spans. 1 (the default) reproduces the classic
-  /// one-row-per-block layout bit for bit. Fault and checksum
-  /// granularity stay per share WORD at any width.
-  std::uint32_t region_blocks = 1;
 };
 
 class IdaMemory final : public pram::MemorySystem {
@@ -111,12 +103,7 @@ class IdaMemory final : public pram::MemorySystem {
   }
   [[nodiscard]] std::uint32_t block_size() const { return config_.b; }
   [[nodiscard]] std::uint64_t num_blocks() const { return n_blocks_; }
-  [[nodiscard]] std::uint32_t region_blocks() const {
-    return config_.region_blocks;
-  }
-  /// Regions with at least one written share (sparse-storage accounting;
-  /// with region_blocks == 1 this is exactly "blocks with >= 1 written
-  /// share", the classic meaning).
+  /// Blocks with a materialized share row (sparse-storage accounting).
   [[nodiscard]] std::uint64_t touched_blocks() const {
     return shares_.size();
   }
@@ -127,12 +114,11 @@ class IdaMemory final : public pram::MemorySystem {
   }
 
  protected:
-  /// Native snapshot: the packed share region rows (shares, checksums,
-  /// written-block flag bits) in sorted region order, the scrub
-  /// relocation overlay, the encode counter (corruption re-roll
-  /// namespace), and the scrub cursor. The peek/poke default would
-  /// re-encode every block and lose relocations; this path restores the
-  /// exact stored share words.
+  /// Native snapshot: the share rows (shares, then checksums) in sorted
+  /// block order, the scrub relocation overlay, the encode counter
+  /// (corruption re-roll namespace), and the scrub cursor. The
+  /// peek/poke default would re-encode every block and lose relocations;
+  /// this path restores the exact stored share words.
   void snapshot_body(pram::SnapshotSink& sink) override;
   [[nodiscard]] bool restore_body(pram::SnapshotSource& source) override;
 
@@ -140,26 +126,14 @@ class IdaMemory final : public pram::MemorySystem {
   [[nodiscard]] std::uint64_t block_of(VarId var) const {
     return var.index() / config_.b;
   }
-  // ----- region-row geometry -----
-  //
-  // A region row packs R = region_blocks consecutive blocks share-major:
-  //   share s of the region's t-th block        at row[s*R + t]
-  //   its checksum word (check_shares only)     at row[d*R + s*R + t]
-  //   written-block flag bits (one per block)   at row[flag_base_ + t/64]
-  // so share s's words for a run of blocks are one contiguous span the
-  // bulk codec reads/writes in place (stride R between shares). R = 1
-  // collapses to the classic one-row-per-block layout: d shares, then d
-  // checksums, byte-for-byte as before (plus the one trailing flag word
-  // that used to be implied by the row's existence).
-  [[nodiscard]] std::uint64_t region_of_block(std::uint64_t block) const {
-    return block / config_.region_blocks;
+  /// `block`'s share row — d shares, then d checksums when
+  /// check_shares — materialized on first use as the shared zero
+  /// encoding with checksums 0. A row exists exactly when encode_block
+  /// has run for the block.
+  std::vector<pram::Word>& block_row(std::uint64_t block);
+  [[nodiscard]] bool block_written(std::uint64_t block) const {
+    return shares_.contains(block);
   }
-  /// The row of `block`'s region, materialized on first use: every block
-  /// slot starts as the shared zero encoding, checksums 0, flags clear.
-  std::vector<pram::Word>& region_row(std::uint64_t block);
-  /// True when encode_block has ever run for `block` (the classic
-  /// "row exists" signal, kept per block inside the region row).
-  [[nodiscard]] bool block_written(std::uint64_t block) const;
   /// Share j of `block` as stored (all-zero encoding if untouched).
   [[nodiscard]] pram::Word share_at(std::uint64_t block,
                                     std::uint32_t j) const;
@@ -191,12 +165,11 @@ class IdaMemory final : public pram::MemorySystem {
                                                       std::uint32_t* erased,
                                                       std::uint32_t* faulty,
                                                       bool* ok) const;
-  /// Healthy bulk decode of `count` consecutive blocks (all within one
-  /// region) straight from the stored share spans into block-major
-  /// `out`; untouched regions decode to zeros (the zero block's exact
-  /// recovery). No telemetry: callers use it only when hooks_ == nullptr.
-  void decode_blocks_healthy(std::uint64_t first_block, std::uint32_t count,
-                             pram::Word* out) const;
+  /// Healthy decode of `block` straight from its stored share row into
+  /// the b words at `out`; an untouched block decodes to zeros (the zero
+  /// block's exact recovery). No telemetry: callers use it only when
+  /// hooks_ == nullptr.
+  void decode_healthy(std::uint64_t block, pram::Word* out) const;
   void encode_block(std::uint64_t block, std::span<const pram::Word> values);
   /// The block's CURRENT share placement: the hashed placement with
   /// scrub relocations applied on top.
@@ -207,12 +180,9 @@ class IdaMemory final : public pram::MemorySystem {
   IdaMemoryConfig config_;
   Disperser disperser_;
   std::uint64_t n_blocks_;
-  std::uint64_t n_regions_;
-  std::size_t flag_base_ = 0;  ///< row offset of the written-block bits
-  std::size_t row_words_ = 0;  ///< full region-row length
-  /// Sparse share storage: region -> its packed share rows (layout
-  /// above), materialized on first write anywhere in the region.
-  /// Untouched blocks read as zero_shares_.
+  /// Sparse share storage: block -> its share row (layout above),
+  /// materialized on the block's first write. Untouched blocks read as
+  /// zero_shares_.
   std::unordered_map<std::uint64_t, std::vector<pram::Word>> shares_;
   std::vector<pram::Word> zero_shares_;  ///< encoding of the zero block
   std::vector<std::uint32_t> identity_indices_;  ///< {0..b-1} (healthy set)

@@ -7,29 +7,20 @@
 namespace pramsim::majority {
 
 DmmpcEngine::DmmpcEngine(std::shared_ptr<const memmap::MemoryMap> map,
-                         SchedulerConfig config)
-    : map_(std::move(map)), config_(config) {
+                         SchedulerConfig config,
+                         std::uint64_t cycles_per_round)
+    : map_(std::move(map)),
+      config_(config),
+      cycles_per_round_(cycles_per_round) {
   PRAMSIM_ASSERT(map_ != nullptr);
   PRAMSIM_ASSERT(map_->redundancy() == 2 * config_.c - 1);
+  PRAMSIM_ASSERT(cycles_per_round_ >= 1);
 }
 
 void DmmpcEngine::run_step_into(std::span<const VarRequest> requests,
                                 EngineResult& out) {
-  schedule_step_into(*map_, requests, config_, schedule_scratch_, scratch_);
-  fill_engine_result(schedule_scratch_, 1, out);
-}
-
-void fill_engine_result(const ScheduleResult& schedule,
-                        std::uint64_t time_per_round, EngineResult& out) {
-  out.time = schedule.rounds * time_per_round;
-  out.work = schedule.total_copy_accesses;
-  out.accessed_mask = schedule.accessed_mask;
-  out.stats.phases = schedule.rounds;
-  out.stats.stage1_phases = schedule.stage1_rounds;
-  out.stats.stage2_phases = schedule.stage2_rounds;
-  out.stats.live_after_stage1 = schedule.live_after_stage1;
-  out.stats.max_queue = schedule.max_module_queue;
-  out.stats.live_per_phase = schedule.live_per_round;
+  schedule_step_into(*map_, requests, config_, out, scratch_);
+  out.time = out.stats.phases * cycles_per_round_;
 }
 
 }  // namespace pramsim::majority

@@ -4,8 +4,12 @@
 // which >= c copies of each variable get accessed and how much simulated
 // time that took on its machine model:
 //
-//   * DmmpcEngine (here)          - protocol rounds on the DMMPC
-//                                   (complete bipartite, Theorem 2);
+//   * DmmpcEngine (here)          - the two-stage round protocol, each
+//                                   round charged a fixed time: 1 on the
+//                                   DMMPC (Theorem 2) and the UW MPC;
+//                                   the measured round cost of a BDN for
+//                                   the Alt et al. sorting-network and
+//                                   Herley-Bilardi expander baselines;
 //   * core::MotEngine             - network cycles on a 2DMOT (Theorem 3,
 //                                   the LPP baseline, and the crossbar).
 //
@@ -22,25 +26,6 @@
 #include "memmap/memory_map.hpp"
 
 namespace pramsim::majority {
-
-/// Per-step protocol telemetry common to all engines.
-struct ProtocolStats {
-  std::uint64_t phases = 0;
-  std::uint64_t stage1_phases = 0;
-  std::uint64_t stage2_phases = 0;
-  std::uint64_t live_after_stage1 = 0;
-  std::uint64_t max_queue = 0;  ///< peak per-module / per-edge contention
-  /// Live-variable count after each round/phase (the decay curve whose
-  /// geometric shape is the Upfal-Wigderson progress lemma in action).
-  std::vector<std::uint64_t> live_per_phase;
-};
-
-struct EngineResult {
-  std::uint64_t time = 0;  ///< rounds (DMMPC) or network cycles (DMBDN)
-  std::uint64_t work = 0;  ///< copy accesses performed
-  std::vector<std::uint64_t> accessed_mask;  ///< per request, >= c bits set
-  ProtocolStats stats;
-};
 
 class AccessEngine {
  public:
@@ -62,12 +47,14 @@ class AccessEngine {
   [[nodiscard]] virtual std::uint32_t n_processors() const { return 1; }
 };
 
-/// Theorem 2 engine: the two-stage cluster protocol under unit module
-/// bandwidth, zero-latency interconnect (complete bipartite K_{n,M}).
+/// The two-stage cluster protocol under unit module bandwidth: Theorem
+/// 2's engine on the complete bipartite K_{n,M}, and the round engine of
+/// every bounded-degree network that realizes one protocol round in a
+/// fixed number of cycles (`cycles_per_round`; 1 on the DMMPC).
 class DmmpcEngine final : public AccessEngine {
  public:
   DmmpcEngine(std::shared_ptr<const memmap::MemoryMap> map,
-              SchedulerConfig config);
+              SchedulerConfig config, std::uint64_t cycles_per_round = 1);
 
   /// Allocation-free after warm-up: schedules into per-instance scratch.
   void run_step_into(std::span<const VarRequest> requests,
@@ -80,17 +67,16 @@ class DmmpcEngine final : public AccessEngine {
     return config_.n_processors;
   }
   [[nodiscard]] const SchedulerConfig& config() const { return config_; }
+  /// Simulated time charged per protocol round.
+  [[nodiscard]] std::uint64_t cycles_per_round() const {
+    return cycles_per_round_;
+  }
 
  private:
   std::shared_ptr<const memmap::MemoryMap> map_;
   SchedulerConfig config_;
-  ScheduleResult schedule_scratch_;
+  std::uint64_t cycles_per_round_;
   ScheduleScratch scratch_;
 };
-
-/// Copy a round schedule into an engine result, charging
-/// `time_per_round` simulated time units per protocol round.
-void fill_engine_result(const ScheduleResult& schedule,
-                        std::uint64_t time_per_round, EngineResult& out);
 
 }  // namespace pramsim::majority

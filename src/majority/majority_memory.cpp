@@ -9,11 +9,9 @@
 
 namespace pramsim::majority {
 
-MajorityMemory::MajorityMemory(std::unique_ptr<AccessEngine> engine,
-                               std::uint32_t region_words)
+MajorityMemory::MajorityMemory(std::unique_ptr<AccessEngine> engine)
     : engine_(std::move(engine)),
-      store_(engine_->map().num_vars(), engine_->map().redundancy(),
-             std::max<std::uint32_t>(region_words, 1)),
+      store_(engine_->map().num_vars(), engine_->map().redundancy()),
       n_processors_(std::max<std::uint32_t>(engine_->n_processors(), 1)) {
   PRAMSIM_ASSERT(engine_ != nullptr);
   PRAMSIM_ASSERT_MSG(engine_->map().redundancy() % 2 == 1,
@@ -27,10 +25,9 @@ MajorityMemory::MajorityMemory(std::unique_ptr<AccessEngine> engine,
 }
 
 MajorityMemory::MajorityMemory(std::shared_ptr<const memmap::MemoryMap> map,
-                               SchedulerConfig scheduler,
-                               std::uint32_t region_words)
-    : MajorityMemory(std::make_unique<DmmpcEngine>(std::move(map), scheduler),
-                     region_words) {}
+                               SchedulerConfig scheduler)
+    : MajorityMemory(
+          std::make_unique<DmmpcEngine>(std::move(map), scheduler)) {}
 
 void MajorityMemory::copies_into_current(VarId var,
                                          std::span<ModuleId> out) const {
@@ -212,45 +209,11 @@ pram::ScrubResult MajorityMemory::scrub(std::uint64_t budget) {
   const std::uint32_t r = engine_->map().redundancy();
   const std::uint64_t m = engine_->map().num_vars();
   std::vector<ModuleId> modules(r);
-  // Region fast path state (widths > 1): one memcmp-majority pass per
-  // region certifies bytewise unanimity across all r copies; every
-  // variable of a unanimous region with no fault hook firing is then
-  // skipped without gathering or counting ballots — the word-granular
-  // vote below is the fallback for dissenting regions. Valid within one
-  // scrub call: repairs only rewrite columns the fallback path visited,
-  // never the columns the fast path certified.
-  const std::uint64_t all_mask = r >= 64 ? ~0ULL : ((1ULL << r) - 1);
-  std::uint64_t cached_region = ~0ULL;
-  bool cached_unanimous = false;
   for (std::uint64_t n = 0; n < budget && n < m; ++n) {
     const VarId var(static_cast<std::uint32_t>(scrub_cursor_));
     scrub_cursor_ = (scrub_cursor_ + 1) % m;
     ++result.scanned;
     copies_into_current(var, modules);
-    if (store_.region_words() > 1) {
-      const std::uint64_t region = store_.region_of(var);
-      if (region != cached_region) {
-        cached_region = region;
-        std::uint32_t dissent = 1;
-        cached_unanimous = store_.vote_region(region, all_mask, &dissent) !=
-                               CopyStore::kNoRegionMajority &&
-                           dissent == 0;
-      }
-      if (cached_unanimous) {
-        bool clean = true;
-        for (std::uint32_t copy = 0; copy < r && clean; ++copy) {
-          pram::Word stuck = 0;
-          clean = !hooks_->module_dead(modules[copy], stamp) &&
-                  !hooks_->stuck_at(var.index(), copy, stamp, stuck);
-        }
-        if (clean) {
-          // Same outcome (and work accounting) the word vote would
-          // produce for a full-survivor, zero-dissent variable.
-          result.work += r;
-          continue;
-        }
-      }
-    }
     const auto outcome = store_.vote(var, modules, stamp, *hooks_);
     result.work += outcome.survivors;
     if (outcome.survivors == 0 ||
@@ -338,18 +301,15 @@ pram::ScrubResult MajorityMemory::scrub(std::uint64_t budget) {
 }
 
 void MajorityMemory::snapshot_body(pram::SnapshotSink& sink) {
-  const std::uint32_t r = store_.redundancy();
-  const std::uint32_t w = store_.region_words();
-  put_u32(sink, r);
-  put_u32(sink, w);
+  put_u32(sink, store_.redundancy());
 
-  std::vector<std::uint64_t> regions(store_.regions().begin(),
-                                     store_.regions().end());
-  std::sort(regions.begin(), regions.end());
-  put_u64(sink, regions.size());
-  for (const std::uint64_t region : regions) {
-    put_u64(sink, region);
-    const auto row = store_.region_row(region);
+  std::vector<std::uint64_t> vars(store_.rows().begin(),
+                                  store_.rows().end());
+  std::sort(vars.begin(), vars.end());
+  put_u64(sink, vars.size());
+  for (const std::uint64_t var : vars) {
+    put_u64(sink, var);
+    const auto row = store_.row(var);
     // Copy is padding-free (static_assert in copy_store.hpp), so the row
     // serializes as one raw span of (value, stamp) pairs.
     sink.write(row.data(), row.size() * sizeof(Copy));
@@ -375,9 +335,7 @@ void MajorityMemory::snapshot_body(pram::SnapshotSink& sink) {
 
 bool MajorityMemory::restore_body(pram::SnapshotSource& source) {
   std::uint32_t r = 0;
-  std::uint32_t w = 0;
-  if (!get_u32(source, r) || r != store_.redundancy() ||
-      !get_u32(source, w) || w != store_.region_words()) {
+  if (!get_u32(source, r) || r != store_.redundancy()) {
     return false;
   }
 
@@ -386,15 +344,14 @@ bool MajorityMemory::restore_body(pram::SnapshotSource& source) {
   if (!get_u64(source, n_rows)) {
     return false;
   }
-  const std::size_t row_len = static_cast<std::size_t>(r) * w;
-  std::vector<Copy> row(row_len);
+  std::vector<Copy> row(r);
   for (std::uint64_t i = 0; i < n_rows; ++i) {
-    std::uint64_t region = 0;
-    if (!get_u64(source, region) || region >= store_.num_regions() ||
-        !source.read(row.data(), row_len * sizeof(Copy))) {
+    std::uint64_t var = 0;
+    if (!get_u64(source, var) || var >= store_.num_vars() ||
+        !source.read(row.data(), r * sizeof(Copy))) {
       return false;
     }
-    store_.restore_row(region, row);
+    store_.restore_row(var, row);
   }
 
   relocated_.clear();

@@ -16,6 +16,7 @@ namespace {
 /// updates the scratch request state and the live-request count.
 std::uint64_t contention_round(std::span<const VarRequest> requests,
                                ScheduleScratch& s,
+                               std::span<std::uint64_t> mask,
                                std::span<const std::uint32_t> active,
                                std::uint32_t r, std::uint32_t c,
                                std::uint64_t& live,
@@ -29,7 +30,7 @@ std::uint64_t contention_round(std::span<const VarRequest> requests,
                                                static_cast<std::size_t>(idx) * r,
                                            r};
     for (std::uint32_t i = 0; i < r; ++i) {
-      if ((s.mask[idx] >> i) & 1ULL) {
+      if ((mask[idx] >> i) & 1ULL) {
         continue;  // already accessed
       }
       const std::uint32_t module = copies[i].value();
@@ -58,7 +59,7 @@ std::uint64_t contention_round(std::span<const VarRequest> requests,
     if (s.dead[idx]) {
       continue;  // died earlier this same round via another module
     }
-    s.mask[idx] |= (1ULL << winner.copy);
+    mask[idx] |= (1ULL << winner.copy);
     ++s.accessed[idx];
     ++served;
     if (s.accessed[idx] >= c) {
@@ -73,8 +74,8 @@ std::uint64_t contention_round(std::span<const VarRequest> requests,
 
 void schedule_step_into(const memmap::MemoryMap& map,
                         std::span<const VarRequest> requests,
-                        const SchedulerConfig& config,
-                        ScheduleResult& result, ScheduleScratch& scratch) {
+                        const SchedulerConfig& config, EngineResult& out,
+                        ScheduleScratch& scratch) {
   const std::uint32_t r = map.redundancy();
   const std::uint32_t c = config.c;
   const std::uint32_t s = std::max<std::uint32_t>(config.cluster_size, 1);
@@ -82,12 +83,16 @@ void schedule_step_into(const memmap::MemoryMap& map,
   PRAMSIM_ASSERT(c >= 1 && c <= r);
 
   // Reset aggregates in place; the vectors keep their capacity.
-  result.rounds = result.stage1_rounds = result.stage2_rounds = 0;
-  result.total_copy_accesses = 0;
-  result.live_after_stage1 = 0;
-  result.max_module_queue = 0;
-  result.accessed_mask.assign(requests.size(), 0);
-  result.live_per_round.clear();
+  ProtocolStats& stats = out.stats;
+  stats.phases = stats.stage1_phases = stats.stage2_phases = 0;
+  stats.live_after_stage1 = 0;
+  stats.max_queue = 0;
+  stats.live_per_phase.clear();
+  out.time = 0;
+  out.work = 0;
+  // The accessed masks are the protocol's per-request state: rounds
+  // update them in place, so they need no copy at the end.
+  out.accessed_mask.assign(requests.size(), 0);
   if (requests.empty()) {
     return;
   }
@@ -106,7 +111,6 @@ void schedule_step_into(const memmap::MemoryMap& map,
   scratch.cluster.resize(count);
   scratch.member.resize(count);
   scratch.accessed.assign(count, 0);
-  scratch.mask.assign(count, 0);
   scratch.dead.assign(count, 0);
   scratch.copies.resize(static_cast<std::size_t>(count) * r);
   for (std::uint32_t i = 0; i < count; ++i) {
@@ -130,12 +134,12 @@ void schedule_step_into(const memmap::MemoryMap& map,
           active.push_back(i);
         }
       }
-      result.total_copy_accesses += contention_round(
-          requests, scratch, active, r, c, live, result.max_module_queue);
-      ++result.rounds;
-      result.live_per_round.push_back(live);
+      out.work += contention_round(requests, scratch, out.accessed_mask,
+                                   active, r, c, live, stats.max_queue);
+      ++stats.phases;
+      stats.live_per_phase.push_back(live);
     }
-    result.stage2_rounds = result.rounds;
+    stats.stage2_phases = stats.phases;
   } else {
     // ---- stage 1: interleaved cluster turns --------------------------
     // Group requests by (cluster, member).
@@ -169,13 +173,13 @@ void schedule_step_into(const memmap::MemoryMap& map,
       if (active.empty()) {
         continue;  // no round consumed: nothing was scheduled this phase
       }
-      result.total_copy_accesses += contention_round(
-          requests, scratch, active, r, c, live, result.max_module_queue);
-      ++result.rounds;
-      ++result.stage1_rounds;
-      result.live_per_round.push_back(live);
+      out.work += contention_round(requests, scratch, out.accessed_mask,
+                                   active, r, c, live, stats.max_queue);
+      ++stats.phases;
+      ++stats.stage1_phases;
+      stats.live_per_phase.push_back(live);
     }
-    result.live_after_stage1 = live;
+    stats.live_after_stage1 = live;
 
     // ---- stage 2: drain leftovers, one variable per cluster ----------
     std::vector<std::uint32_t>& pending = scratch.pending;
@@ -205,19 +209,19 @@ void schedule_step_into(const memmap::MemoryMap& map,
     };
     refill();
     while (!assigned.empty()) {
-      result.total_copy_accesses += contention_round(
-          requests, scratch, assigned, r, c, live, result.max_module_queue);
-      ++result.rounds;
-      ++result.stage2_rounds;
-      result.live_per_round.push_back(live);
+      out.work += contention_round(requests, scratch, out.accessed_mask,
+                                   assigned, r, c, live, stats.max_queue);
+      ++stats.phases;
+      ++stats.stage2_phases;
+      stats.live_per_phase.push_back(live);
       refill();
     }
   }
 
   for (std::uint32_t i = 0; i < count; ++i) {
     PRAMSIM_ASSERT(scratch.accessed[i] >= c);
-    result.accessed_mask[i] = scratch.mask[i];
   }
+  out.time = stats.phases;
 }
 
 }  // namespace pramsim::majority

@@ -62,20 +62,27 @@ struct SchedulerConfig {
   bool all_at_once = false;
 };
 
-struct ScheduleResult {
-  std::uint64_t rounds = 0;
-  std::uint64_t stage1_rounds = 0;
-  std::uint64_t stage2_rounds = 0;
-  std::uint64_t total_copy_accesses = 0;  ///< work (served probes)
+/// Per-step protocol telemetry common to all engines.
+struct ProtocolStats {
+  std::uint64_t phases = 0;
+  std::uint64_t stage1_phases = 0;
+  std::uint64_t stage2_phases = 0;
   std::uint64_t live_after_stage1 = 0;
-  std::uint64_t max_module_queue = 0;  ///< peak probes at one module/round
-  /// Per request: bitmask of which copy indices were accessed (>= c bits
-  /// set for every request on return).
-  std::vector<std::uint64_t> accessed_mask;
-  /// Live-variable count after each round — the decay curve whose
+  std::uint64_t max_queue = 0;  ///< peak per-module / per-edge contention
+  /// Live-variable count after each round/phase — the decay curve whose
   /// geometric shape is the content of the Upfal-Wigderson progress
   /// argument (driven by the Lemma 2 expansion).
-  std::vector<std::uint64_t> live_per_round;
+  std::vector<std::uint64_t> live_per_phase;
+};
+
+/// One scheduled step: what every AccessEngine returns.
+struct EngineResult {
+  std::uint64_t time = 0;  ///< rounds (DMMPC) or network cycles (DMBDN)
+  std::uint64_t work = 0;  ///< copy accesses performed
+  /// Per request: bitmask of which copy indices were accessed (>= c bits
+  /// set for every request).
+  std::vector<std::uint64_t> accessed_mask;
+  ProtocolStats stats;
 };
 
 /// Reusable per-instance scratch for schedule_step_into: request state
@@ -92,7 +99,6 @@ struct ScheduleScratch {
   std::vector<std::uint32_t> cluster;
   std::vector<std::uint32_t> member;
   std::vector<std::uint32_t> accessed;
-  std::vector<std::uint64_t> mask;
   std::vector<std::uint8_t> dead;
   /// All requests' copies, flattened: request i's copies live at
   /// [i*r, (i+1)*r).
@@ -104,16 +110,18 @@ struct ScheduleScratch {
   std::vector<std::uint32_t> assigned;
 };
 
-/// Schedule one P-RAM step's worth of distinct-variable requests,
-/// reusing `result`'s vectors and `scratch` across steps (a warmed-up
-/// caller schedules without touching the heap). Precondition: requests
-/// hold distinct variables (combining already done) and
-/// map.redundancy() <= 64. Module winners resolve in claim insertion
-/// order, identically on every platform; every request ends with >= c
-/// accessed copies.
+/// Schedule one P-RAM step's worth of distinct-variable requests into
+/// `out`, overwriting every field and reusing its vectors and `scratch`
+/// across steps (a warmed-up caller schedules without touching the
+/// heap). `out.time` is the round count (one time unit per round, the
+/// DMMPC measure; engines that charge more per round scale it).
+/// Precondition: requests hold distinct variables (combining already
+/// done) and map.redundancy() <= 64. Module winners resolve in claim
+/// insertion order, identically on every platform; every request ends
+/// with >= c accessed copies.
 void schedule_step_into(const memmap::MemoryMap& map,
                         std::span<const VarRequest> requests,
-                        const SchedulerConfig& config,
-                        ScheduleResult& result, ScheduleScratch& scratch);
+                        const SchedulerConfig& config, EngineResult& out,
+                        ScheduleScratch& scratch);
 
 }  // namespace pramsim::majority

@@ -7,9 +7,9 @@
 // expander; we build one with the configuration model (rejecting loops
 // and multi-edges), then *measure* the properties the HB scheme relies
 // on: connectivity, diameter O(log n), and the second eigenvalue of the
-// normalized adjacency (estimated by deflated power iteration). The
-// HbExpanderEngine in core charges the measured diameter per protocol
-// round.
+// normalized adjacency (estimated by deflated power iteration).
+// core::make_scheme charges the measured diameter per protocol round of
+// the Herley-Bilardi baseline.
 #pragma once
 
 #include <cstdint>

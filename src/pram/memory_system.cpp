@@ -7,8 +7,10 @@ namespace pramsim::pram {
 namespace {
 // Snapshot frame constants ("PSNP"): shared by every MemorySystem; the
 // checkpoint FILE frame (magic, length, CRC) lives in src/durability.
+// The version changes with any body layout: v2 majority/IDA bodies hold
+// one row per variable / block and no storage-width field.
 constexpr std::uint32_t kSnapshotMagic = 0x50534E50u;
-constexpr std::uint32_t kSnapshotVersion = 1;
+constexpr std::uint32_t kSnapshotVersion = 2;
 }  // namespace
 
 void MemorySystem::snapshot(SnapshotSink& sink) {

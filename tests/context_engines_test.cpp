@@ -185,8 +185,8 @@ TEST(HbEngine, CompletesWithLogOverLoglogRedundancy) {
   cfg.c = c;
   cfg.cluster_size = r;
   cfg.n_processors = n;
-  core::HbExpanderEngine engine(map, cfg, /*graph_degree=*/6,
-                                /*graph_seed=*/3);
+  const net::RegularGraph graph(n, /*degree=*/6, /*seed=*/3);
+  majority::DmmpcEngine engine(map, cfg, graph.diameter());
   EXPECT_GT(engine.cycles_per_round(), 1u);
   util::Rng rng(17);
   const auto vars = rng.sample_without_replacement(m, n);
@@ -221,8 +221,8 @@ TEST(HbEngine, WorksAsMajorityMemory) {
   cfg.c = c;
   cfg.cluster_size = 2 * c - 1;
   cfg.n_processors = n;
-  majority::MajorityMemory memory(
-      std::make_unique<core::HbExpanderEngine>(map, cfg, 6, 5));
+  majority::MajorityMemory memory(std::make_unique<majority::DmmpcEngine>(
+      map, cfg, net::RegularGraph(n, 6, 5).diameter()));
   const pram::VarWrite writes[] = {{VarId(42), 777}};
   memory.step({}, {}, writes);
   const VarId reads[] = {VarId(42)};

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <tuple>
@@ -232,6 +233,41 @@ TEST(Checkpoint, RoundTripRestoresStateAndStepClock) {
   for (std::uint64_t v = 0; v < memory->size(); ++v) {
     const VarId var(static_cast<std::uint32_t>(v));
     ASSERT_EQ(restored->peek(var), memory->peek(var)) << "var " << v;
+  }
+}
+
+// A snapshot frame from the previous format version (majority/IDA
+// bodies with a storage-width field) must be refused with `false`, never
+// misparsed or aborted on — for the native bodies and the peek/poke
+// default alike. The frame is magic, version, step clock, size, body.
+TEST(Checkpoint, RestoreRejectsThePreviousSnapshotVersion) {
+  for (const auto kind : {core::SchemeKind::kDmmpc, core::SchemeKind::kIda,
+                          core::SchemeKind::kHashed}) {
+    const core::SchemeSpec spec{.kind = kind, .n = 16, .seed = 3};
+    auto memory = core::make_memory(spec);
+    const std::vector<VarId> no_reads;
+    std::vector<pram::Word> no_values;
+    const std::vector<pram::VarWrite> writes = {{VarId(9), 900}};
+    memory->step(no_reads, no_values, writes);
+
+    pram::BufferSink sink;
+    memory->snapshot(sink);
+    auto bytes = sink.take();
+    ASSERT_GE(bytes.size(), 8u);
+    std::uint32_t version = 0;
+    std::memcpy(&version, bytes.data() + 4, sizeof(version));
+    ASSERT_GE(version, 2u) << core::to_string(kind);
+    {
+      // The current frame restores; only the version field changes below.
+      auto fresh = core::make_memory(spec);
+      pram::BufferSource source(bytes);
+      ASSERT_TRUE(fresh->restore(source)) << core::to_string(kind);
+    }
+    const std::uint32_t previous = version - 1;
+    std::memcpy(bytes.data() + 4, &previous, sizeof(previous));
+    auto restored = core::make_memory(spec);
+    pram::BufferSource source(bytes);
+    EXPECT_FALSE(restored->restore(source)) << core::to_string(kind);
   }
 }
 

@@ -10,7 +10,6 @@
 #include <cctype>
 #include <memory>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -31,31 +30,19 @@
 namespace pramsim {
 namespace {
 
-// Every suite runs the full SchemeKind grid at BOTH storage
-// granularities: region_words 1 (the classic word-at-a-time layout the
-// pre-region code used) and 8 (region rows, bulk vote/recode paths).
-// Regions are a pure storage/throughput knob, so the whole file's
-// bit-exactness gates apply unchanged at every width.
-using KindAndWidth = std::tuple<core::SchemeKind, std::uint32_t>;
-
-class AllKindsTest : public ::testing::TestWithParam<KindAndWidth> {
+class AllKindsTest : public ::testing::TestWithParam<core::SchemeKind> {
  protected:
-  [[nodiscard]] static core::SchemeKind kind() {
-    return std::get<0>(GetParam());
-  }
-  [[nodiscard]] static std::uint32_t width() {
-    return std::get<1>(GetParam());
-  }
+  [[nodiscard]] static core::SchemeKind kind() { return GetParam(); }
 };
 
-std::string kind_name(const ::testing::TestParamInfo<KindAndWidth>& info) {
-  std::string name = core::to_string(std::get<0>(info.param));
+std::string kind_name(const ::testing::TestParamInfo<core::SchemeKind>& info) {
+  std::string name = core::to_string(info.param);
   for (auto& ch : name) {
     if (!std::isalnum(static_cast<unsigned char>(ch))) {
       ch = '_';
     }
   }
-  return name + "_w" + std::to_string(std::get<1>(info.param));
+  return name;
 }
 
 TEST_P(AllKindsTest, RandomizedProgramsMatchFlatMemoryBitExact) {
@@ -75,8 +62,7 @@ TEST_P(AllKindsTest, RandomizedProgramsMatchFlatMemoryBitExact) {
         core::make_memory({.kind = kind(),
                            .n = n,
                            .seed = 5,
-                           .min_vars = ideal_spec.m_required,
-                           .region_words = width()}));
+                           .min_vars = ideal_spec.m_required}));
 
     util::Rng init(program_seed * 977 + 1);
     for (std::uint64_t i = 0; i < ideal_spec.m_required; ++i) {
@@ -113,8 +99,7 @@ TEST_P(AllKindsTest, LibraryProgramMatchesFlatMemory) {
       core::make_memory({.kind = kind(),
                          .n = n,
                          .seed = 9,
-                         .min_vars = ideal_spec.m_required,
-                         .region_words = width()}));
+                         .min_vars = ideal_spec.m_required}));
   util::Rng init(4242);
   for (std::uint32_t i = 0; i < n; ++i) {
     const auto v = static_cast<pram::Word>(init.below(100));
@@ -132,7 +117,7 @@ TEST_P(AllKindsTest, LibraryProgramMatchesFlatMemory) {
 
 TEST_P(AllKindsTest, RunsTheUnifiedStressPipeline) {
   core::SimulationPipeline pipeline(
-      {.kind = kind(), .n = 16, .seed = 3, .region_words = width()});
+      {.kind = kind(), .n = 16, .seed = 3});
   const auto result =
       pipeline.run_stress({.steps_per_family = 2, .seed = 7, .trials = 2});
   // 2 trials x (3 exclusive families x 2 steps [+ 2 adversarial when the
@@ -178,8 +163,7 @@ TEST_P(AllKindsTest, FaultWrapperAtRateZeroIsTransparent) {
         core::make_memory({.kind = kind(),
                            .n = n,
                            .seed = 5,
-                           .min_vars = ideal_spec.m_required,
-                           .region_words = width()}),
+                           .min_vars = ideal_spec.m_required}),
         inert);
     const faults::FaultableMemory* observer = faultable.get();
 
@@ -235,8 +219,7 @@ TEST_P(AllKindsTest, ObservedWrapperAtRateZeroStaysTransparent) {
       core::make_memory({.kind = kind(),
                          .n = n,
                          .seed = 5,
-                         .min_vars = ideal_spec.m_required,
-                         .region_words = width()}),
+                         .min_vars = ideal_spec.m_required}),
       inert);
   obs::Sink sink;
   faultable->set_observer(&sink);
@@ -296,7 +279,6 @@ TEST_P(AllKindsTest, CachedSchemeMatchesFlatMemoryBitExact) {
                            .n = n,
                            .seed = 5,
                            .min_vars = ideal_spec.m_required,
-                           .region_words = width(),
                            .cache_lines = 32}));
 
     util::Rng init(program_seed * 977 + 1);
@@ -339,8 +321,7 @@ TEST_P(AllKindsTest, CachedOverRateZeroFaultableIsTransparent) {
       core::make_memory({.kind = kind(),
                          .n = n,
                          .seed = 5,
-                         .min_vars = ideal_spec.m_required,
-                         .region_words = width()}),
+                         .min_vars = ideal_spec.m_required}),
       inert);
   const faults::FaultableMemory* observer = faultable.get();
   auto cached = std::make_unique<cache::CachedMemory>(
@@ -374,10 +355,9 @@ TEST_P(AllKindsTest, CachedOverRateZeroFaultableIsTransparent) {
 // any mutable state a snapshot_body forgets (copy stamps, share rows,
 // hash tables, relocation overlays) desynchronizes the run immediately.
 // Reads and final memory must stay bit-exact vs an uninterrupted run,
-// for every SchemeKind at both region widths.
+// for every SchemeKind.
 TEST_P(AllKindsTest, SnapshotRestoreEveryStepIsTransparent) {
-  const core::SchemeSpec spec{
-      .kind = kind(), .n = 16, .seed = 5, .region_words = width()};
+  const core::SchemeSpec spec{.kind = kind(), .n = 16, .seed = 5};
   auto reference = core::make_memory(spec);
   auto hopping = core::make_memory(spec);
   const std::uint64_t m = reference->size();
@@ -405,7 +385,7 @@ TEST_P(AllKindsTest, SnapshotRestoreEveryStepIsTransparent) {
     (void)hopping->serve(hop_plan, hop_ctx);
 
     ASSERT_EQ(ref_values, hop_values)
-        << core::to_string(kind()) << " w" << width() << " step " << step;
+        << core::to_string(kind()) << " step " << step;
 
     // Checkpoint-interval-1: serialize, then resume on a fresh instance.
     pram::BufferSink sink;
@@ -414,9 +394,9 @@ TEST_P(AllKindsTest, SnapshotRestoreEveryStepIsTransparent) {
     auto restored = core::make_memory(spec);
     pram::BufferSource source(bytes);
     ASSERT_TRUE(restored->restore(source))
-        << core::to_string(kind()) << " w" << width() << " step " << step;
+        << core::to_string(kind()) << " step " << step;
     ASSERT_TRUE(source.exhausted())
-        << core::to_string(kind()) << " w" << width() << " step " << step;
+        << core::to_string(kind()) << " step " << step;
     EXPECT_EQ(restored->steps_served(), hopping->steps_served());
     hopping = std::move(restored);
   }
@@ -424,15 +404,13 @@ TEST_P(AllKindsTest, SnapshotRestoreEveryStepIsTransparent) {
   for (std::uint64_t v = 0; v < m; ++v) {
     const VarId var(static_cast<std::uint32_t>(v));
     ASSERT_EQ(reference->peek(var), hopping->peek(var))
-        << core::to_string(kind()) << " w" << width() << " var " << v;
+        << core::to_string(kind()) << " var " << v;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    EverySchemeKind, AllKindsTest,
-    ::testing::Combine(::testing::ValuesIn(core::all_scheme_kinds()),
-                       ::testing::Values(1u, 8u)),
-    kind_name);
+INSTANTIATE_TEST_SUITE_P(EverySchemeKind, AllKindsTest,
+                         ::testing::ValuesIn(core::all_scheme_kinds()),
+                         kind_name);
 
 }  // namespace
 }  // namespace pramsim

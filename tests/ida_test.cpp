@@ -172,69 +172,46 @@ TEST(Gf256, MulSpanAccumMatchesScalarMul) {
   }
 }
 
-// The bulk region codec must be BIT-identical to the per-word paths it
-// replaces: encode_regions against Horner encode_words block by block,
-// decode_regions (identity AND arbitrary surviving-index sets) against
-// Lagrange recover_words. This is the equivalence the width-1 storage
-// rule leans on.
-TEST(Dispersal, BulkRegionCodecMatchesPerWordCodec) {
+// The matrix codec must be BIT-identical to the per-word paths:
+// encode_block against Horner encode_words, decode_block (identity AND
+// arbitrary surviving-index sets) against Lagrange recover_words, over
+// several random blocks.
+TEST(Dispersal, MatrixCodecMatchesPerWordCodec) {
   const std::uint32_t b = 4;
   const std::uint32_t d = 8;
-  const std::uint32_t count = 6;  // blocks per region
   Disperser disperser({b, d});
   util::Rng rng(31);
-  std::vector<pram::Word> blocks(static_cast<std::size_t>(count) * b);
-  for (auto& w : blocks) {
-    w = static_cast<pram::Word>(rng.next());
-  }
-
-  // Encode: share spans with stride > count to exercise strided layout.
-  const std::size_t stride = count + 3;
-  std::vector<pram::Word> shares(static_cast<std::size_t>(d) * stride, -1);
-  disperser.encode_regions(blocks.data(), count, shares.data(), stride);
-  for (std::uint32_t t = 0; t < count; ++t) {
-    const std::vector<pram::Word> one(blocks.begin() + t * b,
-                                      blocks.begin() + (t + 1) * b);
-    const auto expect = disperser.encode_words(one);
-    for (std::uint32_t s = 0; s < d; ++s) {
-      ASSERT_EQ(shares[s * stride + t], expect[s]) << "t=" << t << " s=" << s;
-    }
-  }
-
-  // Identity decode (the healthy serve path).
   std::vector<std::uint32_t> identity(b);
   std::iota(identity.begin(), identity.end(), 0);
-  std::vector<pram::Word> out(blocks.size(), 0);
-  disperser.decode_regions(identity, shares.data(), stride, count,
-                           out.data());
-  EXPECT_EQ(out, blocks);
+  for (int t = 0; t < 6; ++t) {
+    std::vector<pram::Word> block(b);
+    for (auto& w : block) {
+      w = static_cast<pram::Word>(rng.next());
+    }
+    std::vector<pram::Word> shares(d, -1);
+    disperser.encode_block(block.data(), shares.data());
+    ASSERT_EQ(shares, disperser.encode_words(block)) << "block " << t;
 
-  // Arbitrary survivor sets (the degraded gather): position j's span
-  // holds share indices[j]'s words.
-  for (int trial = 0; trial < 10; ++trial) {
-    const auto pick = rng.sample_without_replacement(d, b);
-    std::vector<std::uint32_t> indices;
-    std::vector<pram::Word> packed(static_cast<std::size_t>(b) * count);
-    for (std::uint32_t j = 0; j < b; ++j) {
-      indices.push_back(static_cast<std::uint32_t>(pick[j]));
-      for (std::uint32_t t = 0; t < count; ++t) {
-        packed[static_cast<std::size_t>(j) * count + t] =
-            shares[pick[j] * stride + t];
+    // Identity decode (the healthy serve path).
+    std::vector<pram::Word> out(b, 0);
+    disperser.decode_block(identity, shares.data(), out.data());
+    ASSERT_EQ(out, block) << "block " << t;
+
+    // Arbitrary survivor sets (the degraded gather): position j holds
+    // share indices[j]'s word.
+    for (int trial = 0; trial < 10; ++trial) {
+      const auto pick = rng.sample_without_replacement(d, b);
+      std::vector<std::uint32_t> indices;
+      std::vector<pram::Word> vals;
+      for (std::uint32_t j = 0; j < b; ++j) {
+        indices.push_back(static_cast<std::uint32_t>(pick[j]));
+        vals.push_back(shares[pick[j]]);
       }
-    }
-    std::fill(out.begin(), out.end(), 0);
-    disperser.decode_regions(indices, packed.data(), count, count,
-                             out.data());
-    ASSERT_EQ(out, blocks) << "trial " << trial;
-
-    // And per-block agreement with the classic Lagrange path.
-    std::vector<pram::Word> vals(b);
-    for (std::uint32_t j = 0; j < b; ++j) {
-      vals[j] = packed[static_cast<std::size_t>(j) * count];
-    }
-    const auto classic = disperser.recover_words(indices, vals);
-    for (std::uint32_t j = 0; j < b; ++j) {
-      ASSERT_EQ(out[j], classic[j]) << "trial " << trial;
+      std::fill(out.begin(), out.end(), 0);
+      disperser.decode_block(indices, vals.data(), out.data());
+      ASSERT_EQ(out, block) << "block " << t << " trial " << trial;
+      ASSERT_EQ(out, disperser.recover_words(indices, vals))
+          << "block " << t << " trial " << trial;
     }
   }
 }
@@ -306,53 +283,6 @@ TEST(IdaMemory, NeighborsInBlockUnaffectedByWrite) {
   mem.step({}, {}, writes);
   for (std::uint32_t v = 0; v < 8; ++v) {
     EXPECT_EQ(mem.peek(VarId(v)), v == 2 ? 999 : static_cast<Word>(v * 10));
-  }
-}
-
-// Region-granular share storage is a pure layout change: the same
-// operation stream against region_blocks = 1 (the classic
-// one-row-per-block layout) and region_blocks = 4 must stay bit-exact —
-// reads, final peeks, and cost — with and without per-share checksums.
-TEST(IdaMemory, RegionStorageMatchesClassicLayout) {
-  for (const bool check : {false, true}) {
-    auto classic_cfg = small_config();
-    classic_cfg.check_shares = check;
-    auto region_cfg = classic_cfg;
-    region_cfg.region_blocks = 4;
-    IdaMemory classic(64, classic_cfg);
-    IdaMemory region(64, region_cfg);
-    EXPECT_EQ(region.region_blocks(), 4u);
-
-    util::Rng rng(91);
-    for (int s = 0; s < 30; ++s) {
-      VarId reads[3] = {VarId(0), VarId(0), VarId(0)};
-      Word got_classic[3] = {};
-      Word got_region[3] = {};
-      VarWrite writes[2];
-      for (auto& r : reads) {
-        r = VarId(static_cast<std::uint32_t>(rng.below(64)));
-      }
-      for (auto& w : writes) {
-        w = {VarId(static_cast<std::uint32_t>(rng.below(64))),
-             static_cast<Word>(rng.below(100000))};
-      }
-      if (writes[0].var == writes[1].var) {
-        writes[1].var = VarId((writes[1].var.index() + 1) % 64);
-      }
-      const auto cost_classic = classic.step(reads, got_classic, writes);
-      const auto cost_region = region.step(reads, got_region, writes);
-      for (int i = 0; i < 3; ++i) {
-        ASSERT_EQ(got_classic[i], got_region[i]) << "step " << s;
-      }
-      EXPECT_EQ(cost_classic.time, cost_region.time) << "step " << s;
-      EXPECT_EQ(cost_classic.work, cost_region.work) << "step " << s;
-    }
-    for (std::uint32_t v = 0; v < 64; ++v) {
-      ASSERT_EQ(classic.peek(VarId(v)), region.peek(VarId(v)))
-          << "check=" << check << " cell " << v;
-    }
-    EXPECT_DOUBLE_EQ(classic.work_amplification(),
-                     region.work_amplification());
   }
 }
 

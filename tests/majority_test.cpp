@@ -56,151 +56,50 @@ TEST(CopyStore, CorruptKeepsStamp) {
   EXPECT_EQ(store.at(VarId(0), 0).stamp, 2u);
 }
 
-// ------------------------------------------- region-granular store -----
-
-TEST(CopyStore, VoteRegionUnanimousDissentAndNoMajority) {
-  CopyStore store(16, 5, 4);
-  const std::uint64_t all = (1ULL << 5) - 1;
-  // Region 1 = vars [4, 8). Write every copy of every var identically.
-  for (std::uint32_t v = 4; v < 8; ++v) {
-    for (std::uint32_t c = 0; c < 5; ++c) {
-      store.write(VarId(v), c, 100 + v, 7);
-    }
-  }
-  std::uint32_t dissenting = 99;
-  EXPECT_EQ(store.vote_region(1, all, &dissenting), 0);
-  EXPECT_EQ(dissenting, 0u);
-  // Early-exit flavor (no dissent pointer) agrees on the winner.
-  EXPECT_EQ(store.vote_region(1, all), 0);
-
-  // One copy dissents mid-region: still a 4-of-5 bytewise majority, and
-  // the dissent count is exact.
-  store.corrupt(VarId(6), 2, 31337);
-  EXPECT_EQ(store.vote_region(1, all, &dissenting), 0);
-  EXPECT_EQ(dissenting, 1u);
-  // Masking the dissenter out restores unanimity among the live copies.
-  EXPECT_EQ(store.vote_region(1, all & ~(1ULL << 2), &dissenting), 0);
-  EXPECT_EQ(dissenting, 0u);
-  // Masking copy 0 out instead shifts the winner to the lowest live copy.
-  EXPECT_EQ(store.vote_region(1, all & ~1ULL, &dissenting), 1);
-  EXPECT_EQ(dissenting, 1u);
-
-  // Three of five copies each diverge to a distinct value: the two
-  // agreeing survivors are below the strict majority of 3, so no copy's
-  // whole region wins and callers must fall back to per-word vote().
-  store.corrupt(VarId(5), 0, 1111);
-  store.corrupt(VarId(7), 1, 2222);
-  EXPECT_EQ(store.vote_region(1, all, &dissenting),
-            CopyStore::kNoRegionMajority);
-  // No survivors at all is also no-majority, never a {0,0} winner.
-  EXPECT_EQ(store.vote_region(1, 0), CopyStore::kNoRegionMajority);
-}
-
-TEST(CopyStore, VoteRegionUntouchedRegionIsUnanimousZero) {
-  CopyStore store(16, 5, 4);
-  std::uint32_t dissenting = 99;
-  // Lowest live copy represents the all-{0,0} region; nothing allocates.
-  EXPECT_EQ(store.vote_region(2, 0b11100, &dissenting), 2);
-  EXPECT_EQ(dissenting, 0u);
-  EXPECT_EQ(store.touched_vars(), 0u);
-}
-
-TEST(CopyStore, CopyRegionRepairsWholeSlice) {
-  CopyStore store(16, 3, 4);
-  for (std::uint32_t v = 8; v < 12; ++v) {
-    for (std::uint32_t c = 0; c < 3; ++c) {
-      store.write(VarId(v), c, 500 + v, 9);
-    }
-  }
-  store.corrupt(VarId(9), 2, 777);
-  store.corrupt(VarId(11), 2, 888);
-  const std::int32_t winner = store.vote_region(2, 0b111);
-  ASSERT_EQ(winner, 0);
-  store.copy_region(2, static_cast<std::uint32_t>(winner), 2);
-  std::uint32_t dissenting = 99;
-  EXPECT_EQ(store.vote_region(2, 0b111, &dissenting), 0);
-  EXPECT_EQ(dissenting, 0u);
-  EXPECT_EQ(store.at(VarId(9), 2).value, 509u);
-  EXPECT_EQ(store.at(VarId(11), 2).stamp, 9u);
-}
-
-TEST(CopyStore, WidthOneAndWidthFourAgreeOnEveryQuery) {
-  // Same write stream into a classic width-1 store and a width-4 store:
-  // every per-word query (at / freshest / ground_truth / touched) must
-  // agree — region granularity is storage layout, not semantics.
-  CopyStore narrow(32, 3, 1);
-  CopyStore wide(32, 3, 4);
-  EXPECT_EQ(wide.num_regions(), 8u);
-  util::Rng rng(17);
-  for (int i = 0; i < 200; ++i) {
-    const VarId var(static_cast<std::uint32_t>(rng.below(32)));
-    const auto copy = static_cast<std::uint32_t>(rng.below(3));
-    const auto value = static_cast<Word>(rng.below(1000));
-    const std::uint64_t stamp = 1 + static_cast<std::uint64_t>(i) / 4;
-    narrow.write(var, copy, value, stamp);
-    wide.write(var, copy, value, stamp);
-  }
-  for (std::uint32_t v = 0; v < 32; ++v) {
-    const VarId var(v);
-    for (std::uint32_t c = 0; c < 3; ++c) {
-      ASSERT_EQ(narrow.at(var, c).value, wide.at(var, c).value) << v;
-      ASSERT_EQ(narrow.at(var, c).stamp, wide.at(var, c).stamp) << v;
-    }
-    EXPECT_EQ(narrow.freshest(var, 0b101).value,
-              wide.freshest(var, 0b101).value);
-    EXPECT_EQ(narrow.ground_truth(var).value, wide.ground_truth(var).value);
-    EXPECT_EQ(narrow.ground_truth(var).stamp, wide.ground_truth(var).stamp);
-  }
-}
-
 TEST(CopyStore, RowsSurviveGrowthClearAndRestore) {
   // Thousands of materialized rows span many storage chunks and index
-  // rehashes; every write stays readable, regions() lists each row once
-  // in first-write order, and clear/restore round-trip exactly.
-  for (const std::uint32_t w : {1u, 3u}) {
-    CopyStore store(20000, 5, w);
-    std::map<std::pair<std::uint32_t, std::uint32_t>, Copy> expect;
-    std::vector<std::uint64_t> first_writes;
-    util::Rng rng(23);
-    for (std::uint64_t i = 1; i <= 6000; ++i) {
-      const VarId var(static_cast<std::uint32_t>(rng.below(20000)));
-      const auto copy = static_cast<std::uint32_t>(rng.below(5));
-      if (!store.touched(var)) {
-        first_writes.push_back(store.region_of(var));
-      }
-      const auto value = static_cast<Word>(1000 + i);
-      store.write(var, copy, value, i);
-      expect[{var.value(), copy}] = Copy{value, i};
+  // rehashes; every write stays readable, rows() lists each variable
+  // once in first-write order, and clear/restore round-trip exactly.
+  CopyStore store(20000, 5);
+  std::map<std::pair<std::uint32_t, std::uint32_t>, Copy> expect;
+  std::vector<std::uint64_t> first_writes;
+  util::Rng rng(23);
+  for (std::uint64_t i = 1; i <= 6000; ++i) {
+    const VarId var(static_cast<std::uint32_t>(rng.below(20000)));
+    const auto copy = static_cast<std::uint32_t>(rng.below(5));
+    if (!store.touched(var)) {
+      first_writes.push_back(var.index());
     }
-    ASSERT_EQ(store.touched_vars(), first_writes.size()) << w;
-    ASSERT_TRUE(std::equal(store.regions().begin(), store.regions().end(),
-                           first_writes.begin(), first_writes.end()))
-        << w;
-    for (const auto& [key, copy] : expect) {
-      const Copy& got = store.at(VarId(key.first), key.second);
-      ASSERT_EQ(got.value, copy.value) << w;
-      ASSERT_EQ(got.stamp, copy.stamp) << w;
-    }
+    const auto value = static_cast<Word>(1000 + i);
+    store.write(var, copy, value, i);
+    expect[{var.value(), copy}] = Copy{value, i};
+  }
+  ASSERT_EQ(store.touched_vars(), first_writes.size());
+  ASSERT_TRUE(std::equal(store.rows().begin(), store.rows().end(),
+                         first_writes.begin(), first_writes.end()));
+  for (const auto& [key, copy] : expect) {
+    const Copy& got = store.at(VarId(key.first), key.second);
+    ASSERT_EQ(got.value, copy.value);
+    ASSERT_EQ(got.stamp, copy.stamp);
+  }
 
-    // Snapshot every row, clear, restore in reverse order: identical.
-    std::vector<std::vector<Copy>> rows;
-    for (const auto region : first_writes) {
-      const auto row = store.region_row(region);
-      rows.emplace_back(row.begin(), row.end());
-    }
-    store.clear_rows();
-    EXPECT_EQ(store.touched_vars(), 0u);
-    EXPECT_EQ(store.at(VarId(expect.begin()->first.first), 0).stamp, 0u);
-    for (std::size_t i = first_writes.size(); i-- > 0;) {
-      store.restore_row(first_writes[i], rows[i]);
-    }
-    // Restoring over an existing row replaces it.
-    store.restore_row(first_writes[0], rows[0]);
-    EXPECT_EQ(store.touched_vars(), first_writes.size());
-    for (const auto& [key, copy] : expect) {
-      ASSERT_EQ(store.at(VarId(key.first), key.second).value, copy.value)
-          << w;
-    }
+  // Snapshot every row, clear, restore in reverse order: identical.
+  std::vector<std::vector<Copy>> rows;
+  for (const auto var : first_writes) {
+    const auto row = store.row(var);
+    rows.emplace_back(row.begin(), row.end());
+  }
+  store.clear_rows();
+  EXPECT_EQ(store.touched_vars(), 0u);
+  EXPECT_EQ(store.at(VarId(expect.begin()->first.first), 0).stamp, 0u);
+  for (std::size_t i = first_writes.size(); i-- > 0;) {
+    store.restore_row(first_writes[i], rows[i]);
+  }
+  // Restoring over an existing row replaces it.
+  store.restore_row(first_writes[0], rows[0]);
+  EXPECT_EQ(store.touched_vars(), first_writes.size());
+  for (const auto& [key, copy] : expect) {
+    ASSERT_EQ(store.at(VarId(key.first), key.second).value, copy.value);
   }
 }
 
@@ -226,10 +125,10 @@ std::vector<VarRequest> distinct_requests(std::uint32_t count,
   return reqs;
 }
 
-ScheduleResult schedule(const memmap::MemoryMap& map,
-                        std::span<const VarRequest> reqs,
-                        const SchedulerConfig& config) {
-  ScheduleResult result;
+EngineResult schedule(const memmap::MemoryMap& map,
+                      std::span<const VarRequest> reqs,
+                      const SchedulerConfig& config) {
+  EngineResult result;
   ScheduleScratch scratch;
   schedule_step_into(map, reqs, config, result, scratch);
   return result;
@@ -245,8 +144,8 @@ TEST(Scheduler, EveryRequestReachesThreshold) {
     EXPECT_GE(static_cast<std::uint32_t>(__builtin_popcountll(mask)),
               params.c);
   }
-  EXPECT_GT(result.rounds, 0u);
-  EXPECT_GE(result.total_copy_accesses,
+  EXPECT_GT(result.stats.phases, 0u);
+  EXPECT_GE(result.work,
             static_cast<std::uint64_t>(params.c) * 64);
 }
 
@@ -254,8 +153,8 @@ TEST(Scheduler, EmptyBatchIsFree) {
   const auto params = memmap::derive_params(64, 2.0, 1.0, 4.0);
   HashedMap map(params.m, params.n_modules, params.r, 5);
   const auto result = schedule(map, {}, config_for(params.c, 64));
-  EXPECT_EQ(result.rounds, 0u);
-  EXPECT_EQ(result.total_copy_accesses, 0u);
+  EXPECT_EQ(result.stats.phases, 0u);
+  EXPECT_EQ(result.work, 0u);
 }
 
 TEST(Scheduler, SingleRequestTakesCRoundsWorstCaseOne) {
@@ -266,8 +165,8 @@ TEST(Scheduler, SingleRequestTakesCRoundsWorstCaseOne) {
   HashedMap map(params.m, params.n_modules, params.r, 5);
   const std::vector<VarRequest> reqs = {{VarId(3), ProcId(0)}};
   const auto result = schedule(map, reqs, config_for(params.c, 64));
-  EXPECT_EQ(result.rounds, 1u);
-  EXPECT_GE(result.total_copy_accesses, params.c);
+  EXPECT_EQ(result.stats.phases, 1u);
+  EXPECT_GE(result.work, params.c);
 }
 
 TEST(Scheduler, DeterministicAcrossRuns) {
@@ -275,15 +174,15 @@ TEST(Scheduler, DeterministicAcrossRuns) {
   HashedMap map(params.m, params.n_modules, params.r, 5);
   const auto reqs = distinct_requests(128, params.m, 11);
   // The second run reuses the first one's result and scratch buffers.
-  ScheduleResult a;
-  ScheduleResult b;
+  EngineResult a;
+  EngineResult b;
   ScheduleScratch scratch;
   schedule_step_into(map, reqs, config_for(params.c, 128), a, scratch);
   b = a;
   schedule_step_into(map, reqs, config_for(params.c, 128), b, scratch);
-  EXPECT_EQ(a.rounds, b.rounds);
+  EXPECT_EQ(a.stats.phases, b.stats.phases);
   EXPECT_EQ(a.accessed_mask, b.accessed_mask);
-  EXPECT_EQ(a.total_copy_accesses, b.total_copy_accesses);
+  EXPECT_EQ(a.work, b.work);
 }
 
 TEST(Scheduler, AllAtOnceNeverSlower) {
@@ -294,7 +193,7 @@ TEST(Scheduler, AllAtOnceNeverSlower) {
   const auto clustered = schedule(map, reqs, cfg);
   cfg.all_at_once = true;
   const auto flat = schedule(map, reqs, cfg);
-  EXPECT_LE(flat.rounds, clustered.rounds);
+  EXPECT_LE(flat.stats.phases, clustered.stats.phases);
   for (const auto mask : flat.accessed_mask) {
     EXPECT_GE(static_cast<std::uint32_t>(__builtin_popcountll(mask)),
               params.c);
@@ -310,7 +209,7 @@ TEST(Scheduler, Stage1LeavesBoundedLiveSet) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     const auto reqs = distinct_requests(256, params.m, seed);
     const auto result = schedule(map, reqs, config_for(params.c, 256));
-    EXPECT_LE(result.live_after_stage1, 256u / params.r + 1)
+    EXPECT_LE(result.stats.live_after_stage1, 256u / params.r + 1)
         << "seed " << seed;
   }
 }
@@ -333,7 +232,7 @@ TEST(Scheduler, HotModuleMapStillCompletes) {
   }
   // 32 requests x 3 accesses through 5 unit-bandwidth modules needs at
   // least ceil(96/5) rounds.
-  EXPECT_GE(result.rounds, 96u / 5u);
+  EXPECT_GE(result.stats.phases, 96u / 5u);
 }
 
 TEST(Scheduler, RoundsGrowSublinearlyInN) {
@@ -346,7 +245,7 @@ TEST(Scheduler, RoundsGrowSublinearlyInN) {
     HashedMap map(params.m, params.n_modules, params.r, 5);
     const auto reqs = distinct_requests(n, params.m, 17);
     const auto result = schedule(map, reqs, config_for(params.c, n));
-    rounds.push_back(static_cast<double>(result.rounds));
+    rounds.push_back(static_cast<double>(result.stats.phases));
   }
   EXPECT_LT(rounds[2], rounds[0] * 16.0);  // 16x n -> far less than 16x time
 }

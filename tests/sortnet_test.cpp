@@ -6,7 +6,6 @@
 #include <span>
 #include <vector>
 
-#include "core/alt_engine.hpp"
 #include "core/schemes.hpp"
 #include "sortnet/batcher.hpp"
 #include "util/math.hpp"
@@ -117,7 +116,7 @@ TEST(AltBdn, StepCompletesAndCostsDepthPerRound) {
               inst.c);
   }
   const auto* engine =
-      dynamic_cast<const core::AltBdnEngine*>(inst.engine);
+      dynamic_cast<const majority::DmmpcEngine*>(inst.engine);
   ASSERT_NE(engine, nullptr);
   EXPECT_EQ(result.time % engine->cycles_per_round(), 0u);
   EXPECT_GE(result.time / engine->cycles_per_round(), 1u);

@@ -13,10 +13,11 @@ compared — a perf regression shows up in the trajectory, not as a CI
 failure; a silently dropped table or renamed column does fail.
 
 --exact additionally requires every table row to equal the baseline's,
-value for value. Use it only for benches whose tables hold the paper's
-deterministic cost model (rounds/cycles, copy accesses) and no host
-time. The manifest still gets only the key-set check: some of its
-values (`workers`) depend on the host.
+value for value, and every shape fit to keep its series, predicted
+shape, best shape and verdict. Use it only for benches whose tables
+hold the paper's deterministic cost model (rounds/cycles, copy
+accesses) and no host time. The manifest still gets only the key-set
+check: some of its values (`workers`) depend on the host.
 
 Exits non-zero with one message per violation.
 """
@@ -81,6 +82,25 @@ def check(baseline, fresh, errors, exact=False):
             errors.append(f"{where}: fresh table has no rows")
         elif exact:
             check_rows(where, base.get("rows") or [], new["rows"], errors)
+    if exact:
+        check_fits(baseline.get("fits") or [], fresh.get("fits") or [],
+                   errors)
+
+
+FIT_KEYS = ("series", "predicted", "best", "verdict")
+
+
+def check_fits(base_fits, fresh_fits, errors):
+    """Exact mode: each fit keeps its series, shapes and verdict."""
+    if len(base_fits) != len(fresh_fits):
+        errors.append(f"fit count changed: baseline {len(base_fits)} "
+                      f"vs fresh {len(fresh_fits)}")
+        return
+    for i, (base, new) in enumerate(zip(base_fits, fresh_fits)):
+        for key in FIT_KEYS:
+            if base.get(key) != new.get(key):
+                errors.append(f"fits[{i}].{key} changed: baseline "
+                              f"{base.get(key)!r} vs fresh {new.get(key)!r}")
 
 
 def check_rows(where, base_rows, fresh_rows, errors):

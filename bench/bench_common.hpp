@@ -5,6 +5,8 @@
 // across PRs.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <span>
@@ -71,6 +73,7 @@ enum class FitVerdict : std::uint8_t {
   kReproduced,       ///< the predicted shape is the best fit
   kUndiscriminated,  ///< another shape fits best; predicted is within margin
   kNotReproduced,    ///< the predicted shape trails the best by more
+  kConstant,         ///< the series does not vary with n: nothing to fit
 };
 
 [[nodiscard]] inline const char* to_string(FitVerdict verdict) {
@@ -78,6 +81,7 @@ enum class FitVerdict : std::uint8_t {
     case FitVerdict::kReproduced: return "reproduced";
     case FitVerdict::kUndiscriminated: return "undiscriminated";
     case FitVerdict::kNotReproduced: return "not_reproduced";
+    case FitVerdict::kConstant: return "constant";
   }
   return "???";
 }
@@ -100,9 +104,19 @@ struct FitReport {
   FitReport report;
   report.series_name = series_name;
   report.predicted_shape = predicted_shape;
-  const auto fits = util::fit_shapes(n, y);
   report.table.set_title("fit of '" + series_name + "' (paper predicts " +
                          predicted_shape + ")");
+  const auto [lo, hi] = std::minmax_element(y.begin(), y.end());
+  if (lo != y.end() && *hi - *lo <= 1e-12 * std::max(1.0, std::abs(*hi))) {
+    // Zero variance: every shape would score R^2 = 1 with slope 0, so
+    // only the constant row is reported and no shape is credited.
+    report.table.add_row({"1", 1.0, 0.0, *lo});
+    report.best_shape = "1";
+    report.best_r2 = 1.0;
+    report.verdict = FitVerdict::kConstant;
+    return report;
+  }
+  const auto fits = util::fit_shapes(n, y);
   for (const auto& fit : fits) {
     report.table.add_row({fit.shape_name, fit.fit.r_squared, fit.fit.slope,
                           fit.fit.intercept});
@@ -122,6 +136,12 @@ struct FitReport {
 
 inline void print_fit(const FitReport& report) {
   report.table.print(4);
+  if (report.verdict == FitVerdict::kConstant) {
+    std::printf("-> series is constant in n: CONSTANT (no shape is "
+                "discriminated; predicted '%s' not credited)\n\n",
+                report.predicted_shape.c_str());
+    return;
+  }
   const char* verdict = "NOT REPRODUCED (predicted shape fits worse)";
   if (report.verdict == FitVerdict::kReproduced) {
     verdict = "REPRODUCED (predicted shape fits best)";

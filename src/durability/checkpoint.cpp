@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <span>
 #include <string_view>
+#include <system_error>
 #include <utility>
 
 #include "durability/crc32.hpp"
@@ -24,33 +25,24 @@ constexpr std::uint32_t kCheckpointVersion = 1;
 constexpr std::size_t kHeaderBytes = 4 + 4 + 8 + 8;  // magic,ver,step,len
 constexpr std::size_t kTrailerBytes = 4;             // crc32(payload)
 
-void append_bytes(std::vector<std::uint8_t>& out, const void* data,
-                  std::size_t size) {
-  const auto* bytes = static_cast<const std::uint8_t*>(data);
-  out.insert(out.end(), bytes, bytes + size);
-}
-
-// resize + memcpy rather than insert-from-pointer-range: GCC 12 at -O3
-// flags the latter with a false-positive -Wstringop-overflow when the
-// source is a stack scalar (same family as the suppressions in
-// CMakeLists.txt, kept out of a header-wide suppression this way).
 template <typename T>
-void append_field(std::vector<std::uint8_t>& out, T value) {
-  const std::size_t offset = out.size();
-  out.resize(offset + sizeof(value));
-  std::memcpy(out.data() + offset, &value, sizeof(value));
+void put_field(std::vector<std::uint8_t>& image, std::size_t offset,
+               T value) {
+  std::memcpy(image.data() + offset, &value, sizeof(value));
 }
 
+/// The whole file in one read (empty if it cannot be opened).
 [[nodiscard]] std::vector<std::uint8_t> read_file(const std::string& path) {
   std::vector<std::uint8_t> bytes;
   std::FILE* file = std::fopen(path.c_str(), "rb");
   if (file == nullptr) {
     return bytes;
   }
-  std::uint8_t chunk[4096];
-  std::size_t got = 0;
-  while ((got = std::fread(chunk, 1, sizeof(chunk), file)) > 0) {
-    bytes.insert(bytes.end(), chunk, chunk + got);
+  std::error_code ec;
+  const std::uintmax_t size = fs::file_size(path, ec);
+  if (!ec) {
+    bytes.resize(size);
+    bytes.resize(std::fread(bytes.data(), 1, bytes.size(), file));
   }
   std::fclose(file);
   return bytes;
@@ -109,6 +101,46 @@ void append_field(std::vector<std::uint8_t>& out, T value) {
   return step;
 }
 
+/// Scan `directory` newest first for a checkpoint that validates end
+/// to end (a torn or corrupt newest file falls back to its
+/// predecessor), reading and CRC-checking each candidate once, and hand
+/// the winner's payload to `accept`. Returns the winner when `accept`
+/// does; nullopt when no file validates or `accept` refuses.
+template <typename Accept>
+[[nodiscard]] std::optional<Checkpointer::Found> newest_valid(
+    const std::string& directory, Accept&& accept) {
+  if (!fs::is_directory(directory)) {
+    return std::nullopt;
+  }
+  std::vector<std::uint64_t> steps;
+  for (const auto& entry : fs::directory_iterator(directory)) {
+    if (const auto s = step_of(entry.path().filename().string())) {
+      steps.push_back(*s);
+    }
+  }
+  std::sort(steps.rbegin(), steps.rend());
+  for (const std::uint64_t step : steps) {
+    std::string path = Checkpointer::path_for(directory, step);
+    const std::vector<std::uint8_t> bytes = read_file(path);
+    std::uint64_t header_step = 0;
+    std::span<const std::uint8_t> payload;
+    if (validate_image(bytes, header_step, payload) &&
+        header_step == step) {
+      if (!accept(payload)) {
+        return std::nullopt;
+      }
+      return Checkpointer::Found{std::move(path), step};
+    }
+  }
+  return std::nullopt;
+}
+
+[[nodiscard]] bool restore_payload(std::span<const std::uint8_t> payload,
+                                   pram::MemorySystem& memory) {
+  pram::BufferSource source(payload);
+  return memory.restore(source) && source.exhausted();
+}
+
 }  // namespace
 
 Checkpointer::Checkpointer(CheckpointConfig config, obs::Sink* sink)
@@ -119,18 +151,19 @@ Checkpointer::Checkpointer(CheckpointConfig config, obs::Sink* sink)
 
 std::vector<std::uint8_t> Checkpointer::file_image(
     pram::MemorySystem& memory, std::uint64_t step) {
-  pram::BufferSink sink;
+  // One buffer: the snapshot lands after the reserved header, which is
+  // patched once the payload length is known; the CRC runs in place.
+  pram::BufferSink sink{std::vector<std::uint8_t>(kHeaderBytes)};
   memory.snapshot(sink);
-  const std::vector<std::uint8_t> payload = sink.take();
-
-  std::vector<std::uint8_t> image;
-  image.reserve(kHeaderBytes + payload.size() + kTrailerBytes);
-  append_field(image, kCheckpointMagic);
-  append_field(image, kCheckpointVersion);
-  append_field(image, step);
-  append_field(image, static_cast<std::uint64_t>(payload.size()));
-  append_bytes(image, payload.data(), payload.size());
-  append_field(image, crc32(payload.data(), payload.size()));
+  std::vector<std::uint8_t> image = sink.take();
+  const std::uint64_t payload_len = image.size() - kHeaderBytes;
+  put_field(image, 0, kCheckpointMagic);
+  put_field(image, 4, kCheckpointVersion);
+  put_field(image, 8, step);
+  put_field(image, 16, payload_len);
+  const std::uint32_t crc = crc32(image.data() + kHeaderBytes, payload_len);
+  image.resize(image.size() + kTrailerBytes);
+  put_field(image, kHeaderBytes + payload_len, crc);
   return image;
 }
 
@@ -182,29 +215,8 @@ std::uint64_t Checkpointer::write(pram::MemorySystem& memory,
 
 std::optional<Checkpointer::Found> Checkpointer::latest(
     const std::string& directory) {
-  if (!fs::is_directory(directory)) {
-    return std::nullopt;
-  }
-  std::vector<std::uint64_t> steps;
-  for (const auto& entry : fs::directory_iterator(directory)) {
-    if (const auto s = step_of(entry.path().filename().string())) {
-      steps.push_back(*s);
-    }
-  }
-  // Newest first; the first file that validates wins (a torn newest
-  // checkpoint falls back to its predecessor).
-  std::sort(steps.rbegin(), steps.rend());
-  for (const std::uint64_t step : steps) {
-    const std::string path = path_for(directory, step);
-    const std::vector<std::uint8_t> bytes = read_file(path);
-    std::uint64_t header_step = 0;
-    std::span<const std::uint8_t> payload;
-    if (validate_image(bytes, header_step, payload) &&
-        header_step == step) {
-      return Found{path, step};
-    }
-  }
-  return std::nullopt;
+  return newest_valid(directory,
+                      [](std::span<const std::uint8_t>) { return true; });
 }
 
 bool Checkpointer::load(const std::string& path,
@@ -212,11 +224,15 @@ bool Checkpointer::load(const std::string& path,
   const std::vector<std::uint8_t> bytes = read_file(path);
   std::uint64_t step = 0;
   std::span<const std::uint8_t> payload;
-  if (!validate_image(bytes, step, payload)) {
-    return false;
-  }
-  pram::BufferSource source(payload);
-  return memory.restore(source) && source.exhausted();
+  return validate_image(bytes, step, payload) &&
+         restore_payload(payload, memory);
+}
+
+std::optional<Checkpointer::Found> Checkpointer::load_latest(
+    const std::string& directory, pram::MemorySystem& memory) {
+  return newest_valid(directory, [&](std::span<const std::uint8_t> payload) {
+    return restore_payload(payload, memory);
+  });
 }
 
 }  // namespace pramsim::durability

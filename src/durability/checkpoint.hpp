@@ -72,6 +72,14 @@ class Checkpointer {
   [[nodiscard]] static bool load(const std::string& path,
                                  pram::MemorySystem& memory);
 
+  /// Recovery's one-read path: latest() and load() fused, so the chosen
+  /// file is read and CRC-checked once. Restores the newest valid
+  /// checkpoint into `memory` and returns it; nullopt when no file
+  /// validates or the restore fails (`memory` must then be discarded,
+  /// as after a failed load()).
+  [[nodiscard]] static std::optional<Found> load_latest(
+      const std::string& directory, pram::MemorySystem& memory);
+
  private:
   CheckpointConfig config_;
   obs::Sink* obs_ = nullptr;

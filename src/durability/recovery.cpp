@@ -13,13 +13,11 @@ RecoveryOutcome recover(pram::MemorySystem& memory,
                         std::uint64_t scrub_budget, obs::Sink* sink) {
   RecoveryOutcome outcome;
 
-  if (const auto found = Checkpointer::latest(checkpoint_dir)) {
-    outcome.checkpoint_loaded = Checkpointer::load(found->path, memory);
-    if (outcome.checkpoint_loaded) {
-      outcome.checkpoint_step = found->step;
-      if (sink != nullptr) {
-        sink->metrics.add("checkpoint.loads");
-      }
+  if (const auto found = Checkpointer::load_latest(checkpoint_dir, memory)) {
+    outcome.checkpoint_loaded = true;
+    outcome.checkpoint_step = found->step;
+    if (sink != nullptr) {
+      sink->metrics.add("checkpoint.loads");
     }
   }
 

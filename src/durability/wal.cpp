@@ -1,5 +1,6 @@
 #include "durability/wal.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "durability/crc32.hpp"
@@ -78,7 +79,8 @@ Wal::~Wal() {
   }
 }
 
-void Wal::frame_record(std::span<const std::uint8_t> payload) {
+void Wal::frame_record(std::uint64_t step,
+                       std::span<const std::uint8_t> payload) {
   const std::uint32_t length =
       static_cast<std::uint32_t>(payload.size());
   const std::uint32_t crc = crc32(payload.data(), payload.size());
@@ -88,6 +90,7 @@ void Wal::frame_record(std::span<const std::uint8_t> payload) {
   put_u32(buffer_, crc);
   put_bytes(buffer_, payload.data(), payload.size());
   ++appended_records_;
+  newest_step_ = std::max(newest_step_, step);
   if (obs_ != nullptr) {
     obs_->metrics.add("wal.records");
   }
@@ -103,7 +106,7 @@ void Wal::append_step(std::uint64_t step,
     put_u64(payload_, write.var.index());
     put_word(payload_, write.value);
   }
-  frame_record(payload_);
+  frame_record(step, payload_);
   buffered_commit_step_ = step;
 }
 
@@ -113,7 +116,7 @@ void Wal::append_relocation(std::uint64_t step, std::uint64_t relocated) {
          static_cast<std::uint8_t>(WalRecordKind::kScrubRelocation));
   put_u64(payload_, step);
   put_u64(payload_, relocated);
-  frame_record(payload_);
+  frame_record(step, payload_);
 }
 
 void Wal::append_onset(std::uint64_t step, std::uint32_t module) {
@@ -121,7 +124,7 @@ void Wal::append_onset(std::uint64_t step, std::uint32_t module) {
   put_u8(payload_, static_cast<std::uint8_t>(WalRecordKind::kFaultOnset));
   put_u64(payload_, step);
   put_u32(payload_, module);
-  frame_record(payload_);
+  frame_record(step, payload_);
 }
 
 void Wal::maybe_flush(std::uint64_t step) {
@@ -151,6 +154,17 @@ void Wal::truncate_through(std::uint64_t through_step) {
   flush();
   std::fclose(file_);
   file_ = nullptr;
+  if (newest_step_ <= through_step) {
+    // Nothing survives (the driver checkpoints at the step it flushed
+    // through): reopening empty loses no record, so skip the read-back.
+    file_ = std::fopen(config_.path.c_str(), "wb");
+    PRAMSIM_ASSERT(file_ != nullptr);
+    file_bytes_ = 0;
+    if (obs_ != nullptr) {
+      obs_->metrics.add("wal.truncations");
+    }
+    return;
+  }
   const WalReadResult old = read_wal(config_.path);
   file_ = std::fopen(config_.path.c_str(), "wb");
   PRAMSIM_ASSERT(file_ != nullptr);
@@ -182,7 +196,7 @@ void Wal::truncate_through(std::uint64_t through_step) {
         break;
     }
     --appended_records_;  // frame_record re-counts the re-framed record
-    frame_record(payload_);
+    frame_record(record.step, payload_);
   }
   const std::size_t written =
       std::fwrite(buffer_.data(), 1, buffer_.size(), file_);

@@ -95,8 +95,9 @@ class Wal {
 
   /// The checkpoint/truncate protocol: drop every record with
   /// step <= `through_step`, rewriting the file with the surviving
-  /// tail. Flushes first; call only after the covering checkpoint is
-  /// durable, or a crash between the two loses the dropped records.
+  /// tail (an empty tail just reopens the file empty). Flushes first;
+  /// call only after the covering checkpoint is durable, or a crash
+  /// between the two loses the dropped records.
   void truncate_through(std::uint64_t through_step);
 
   /// Last step covered by a DURABLE (flushed) kStepCommit record.
@@ -118,7 +119,8 @@ class Wal {
 
  private:
   /// Frame `payload` into the append buffer and account the record.
-  void frame_record(std::span<const std::uint8_t> payload);
+  void frame_record(std::uint64_t step,
+                    std::span<const std::uint8_t> payload);
 
   WalConfig config_;
   obs::Sink* obs_ = nullptr;
@@ -129,6 +131,7 @@ class Wal {
   std::uint64_t appended_records_ = 0;
   std::uint64_t buffered_commit_step_ = 0;  ///< newest buffered commit
   std::uint64_t durable_step_ = 0;
+  std::uint64_t newest_step_ = 0;  ///< newest step of any appended record
   RecordSpan last_record_{};
 };
 

@@ -1,5 +1,7 @@
 #include "ida/dispersal.hpp"
 
+#include <numeric>
+
 #include "util/assert.hpp"
 
 namespace pramsim::ida {
@@ -169,6 +171,18 @@ void Disperser::encode_block(const pram::Word* block,
   }
 }
 
+pram::Word Disperser::row_times_shares(const GF256::Elem* row,
+                                       const pram::Word* shares) const {
+  pram::Word out = 0;
+  auto* out_bytes = reinterpret_cast<std::uint8_t*>(&out);
+  const auto* in_bytes = reinterpret_cast<const std::uint8_t*>(shares);
+  for (std::uint32_t j = 0; j < params_.b; ++j) {
+    GF256::mul_span_accum(out_bytes, in_bytes + j * sizeof(pram::Word),
+                          sizeof(pram::Word), row[j]);
+  }
+  return out;
+}
+
 void Disperser::decode_block(std::span<const std::uint32_t> indices,
                              const pram::Word* shares,
                              pram::Word* block_out) const {
@@ -178,26 +192,34 @@ void Disperser::decode_block(std::span<const std::uint32_t> indices,
   for (std::uint32_t j = 0; j < b && healthy; ++j) {
     healthy = indices[j] == j;
   }
-  const std::vector<GF256::Elem>* matrix;
+  const std::vector<GF256::Elem>* matrix = nullptr;
   if (healthy) {
-    if (healthy_matrix_.empty()) {
-      recovery_matrix_into(indices, healthy_matrix_);
-    }
-    matrix = &healthy_matrix_;
+    matrix = &healthy_matrix();
   } else {
     recovery_matrix_into(indices, matrix_scratch_);
     matrix = &matrix_scratch_;
   }
-  const auto* in_bytes = reinterpret_cast<const std::uint8_t*>(shares);
   for (std::uint32_t k = 0; k < b; ++k) {
-    block_out[k] = 0;
-    auto* out_bytes = reinterpret_cast<std::uint8_t*>(block_out + k);
-    for (std::uint32_t j = 0; j < b; ++j) {
-      GF256::mul_span_accum(out_bytes, in_bytes + j * sizeof(pram::Word),
-                            sizeof(pram::Word),
-                            (*matrix)[static_cast<std::size_t>(k) * b + j]);
-    }
+    block_out[k] = row_times_shares(
+        matrix->data() + static_cast<std::size_t>(k) * b, shares);
   }
+}
+
+pram::Word Disperser::decode_word(const pram::Word* shares,
+                                  std::uint32_t k) const {
+  PRAMSIM_ASSERT(k < params_.b);
+  return row_times_shares(
+      healthy_matrix().data() + static_cast<std::size_t>(k) * params_.b,
+      shares);
+}
+
+const std::vector<GF256::Elem>& Disperser::healthy_matrix() const {
+  if (healthy_matrix_.empty()) {
+    std::vector<std::uint32_t> identity(params_.b);
+    std::iota(identity.begin(), identity.end(), 0U);
+    recovery_matrix_into(identity, healthy_matrix_);
+  }
+  return healthy_matrix_;
 }
 
 std::vector<pram::Word> Disperser::recover_words(

@@ -80,12 +80,26 @@ class Disperser {
   void decode_block(std::span<const std::uint32_t> indices,
                     const pram::Word* shares, pram::Word* block_out) const;
 
+  /// Word k of the healthy decode (survivor set {0..b-1}, `shares` its
+  /// b share words): one row of the healthy recovery matrix times the
+  /// shares, equal to word k of decode_block without decoding the rest.
+  [[nodiscard]] pram::Word decode_word(const pram::Word* shares,
+                                       std::uint32_t k) const;
+
  private:
   /// The b x b recovery matrix M for a survivor index set: block word k
   /// is sum_j M[k*b + j] * share_value[j] (the Lagrange interpolation of
   /// recover_bytes with the value-independent factors folded together).
   void recovery_matrix_into(std::span<const std::uint32_t> indices,
                             std::vector<GF256::Elem>& out) const;
+
+  /// healthy_matrix_, built on first use (kept out of construction,
+  /// which every memory instance pays).
+  [[nodiscard]] const std::vector<GF256::Elem>& healthy_matrix() const;
+
+  /// sum_j row[j] * shares[j] over the b share words (byte lanes).
+  [[nodiscard]] pram::Word row_times_shares(const GF256::Elem* row,
+                                            const pram::Word* shares) const;
 
   IdaParams params_;
   /// Generator matrix: share i draws coefficient gen_[i*b + j] from block

@@ -392,11 +392,18 @@ pram::MemStepCost IdaMemory::serve(const pram::AccessPlan& plan,
 
 pram::Word IdaMemory::peek(VarId var) const {
   PRAMSIM_ASSERT(var.index() < m_vars_);
+  const std::uint32_t k = var.index() % config_.b;
+  if (hooks_ == nullptr) {
+    // Healthy: decode only word k of the block (an untouched block is
+    // the zero block).
+    const auto it = shares_.find(block_of(var));
+    return it == shares_.end() ? 0
+                               : disperser_.decode_word(it->second.data(), k);
+  }
   std::uint32_t erased = 0;
   std::uint32_t faulty = 0;
   bool ok = true;
-  return recover_block(block_of(var), &erased, &faulty,
-                       &ok)[var.index() % config_.b];
+  return recover_block(block_of(var), &erased, &faulty, &ok)[k];
 }
 
 void IdaMemory::poke(VarId var, pram::Word value) {

@@ -155,12 +155,12 @@ class IdaMemory final : public pram::MemorySystem {
   /// is set to kDegraded / kLost for reconstructed-around / lost blocks.
   [[nodiscard]] std::vector<pram::Word> decode_block(
       std::uint64_t block, BlockStatus* status = nullptr);
-  /// The recovery rule itself (shared by decode_block and peek): healthy
-  /// path reads shares 0..b-1; under fault hooks it interpolates from
-  /// the first b SURVIVING share indices. Reports dead shares in
-  /// `erased`, stuck shares that silently joined the interpolation in
-  /// `faulty`, and clears `ok` (returning the zero block) when fewer
-  /// than b shares survive.
+  /// The recovery rule itself (shared by decode_block and the faulted
+  /// peek): healthy path reads shares 0..b-1; under fault hooks it
+  /// interpolates from the first b SURVIVING share indices. Reports dead
+  /// shares in `erased`, stuck shares that silently joined the
+  /// interpolation in `faulty`, and clears `ok` (returning the zero
+  /// block) when fewer than b shares survive.
   [[nodiscard]] std::vector<pram::Word> recover_block(std::uint64_t block,
                                                       std::uint32_t* erased,
                                                       std::uint32_t* faulty,

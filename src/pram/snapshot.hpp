@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "pram/types.hpp"
@@ -38,11 +39,15 @@ class SnapshotSource {
   [[nodiscard]] virtual bool read(void* data, std::size_t size) = 0;
 };
 
-/// In-memory sink: accumulates the snapshot bytes (checkpoint writers
-/// serialize here first so the file frame can prepend the payload
-/// length and append the CRC).
+/// In-memory sink: accumulates the snapshot bytes after an optional
+/// prefix (the checkpoint writer passes its reserved frame header, so
+/// the payload is serialized straight into the file image).
 class BufferSink final : public SnapshotSink {
  public:
+  BufferSink() = default;
+  explicit BufferSink(std::vector<std::uint8_t> prefix)
+      : bytes_(std::move(prefix)) {}
+
   void write(const void* data, std::size_t size) override {
     const auto* bytes = static_cast<const std::uint8_t*>(data);
     bytes_.insert(bytes_.end(), bytes, bytes + size);

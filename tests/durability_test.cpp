@@ -17,6 +17,7 @@
 #include "core/driver.hpp"
 #include "core/schemes.hpp"
 #include "durability/checkpoint.hpp"
+#include "durability/crc32.hpp"
 #include "durability/recovery.hpp"
 #include "durability/wal.hpp"
 #include "faults/fault_model.hpp"
@@ -24,6 +25,8 @@
 #include "obs/sink.hpp"
 #include "pram/memory_system.hpp"
 #include "pram/snapshot.hpp"
+#include "util/rng.hpp"
+#include "fnv_digest.hpp"
 
 namespace pramsim {
 namespace {
@@ -36,6 +39,117 @@ std::string scratch_dir(const std::string& name) {
   fs::remove_all(dir);
   fs::create_directories(dir);
   return dir.string();
+}
+
+/// The whole file's bytes (empty when it cannot be opened).
+std::vector<unsigned char> file_bytes(const std::string& path) {
+  std::vector<unsigned char> bytes;
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  if (file == nullptr) {
+    return bytes;
+  }
+  unsigned char chunk[4096];
+  std::size_t got = 0;
+  while ((got = std::fread(chunk, 1, sizeof(chunk), file)) > 0) {
+    bytes.insert(bytes.end(), chunk, chunk + got);
+  }
+  std::fclose(file);
+  return bytes;
+}
+
+std::uint64_t fnv_digest(const std::vector<unsigned char>& bytes) {
+  testing::Fnv64 digest;
+  digest.add_bytes(bytes.data(), bytes.size());
+  return digest.value();
+}
+
+// ----- CRC-32 --------------------------------------------------------------
+
+/// The textbook bit-at-a-time CRC-32 (IEEE, reflected polynomial
+/// 0xEDB88320, init and xorout 0xFFFFFFFF): the reference the table
+/// kernel must equal at every length and alignment.
+std::uint32_t crc32_reference(const unsigned char* data, std::size_t size) {
+  std::uint32_t crc = 0xFFFFFFFFU;
+  for (std::size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1U) != 0 ? 0xEDB88320U ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFU;
+}
+
+TEST(Crc32, KnownAnswers) {
+  EXPECT_EQ(durability::crc32("123456789", 9), 0xCBF43926U);
+  EXPECT_EQ(durability::crc32(nullptr, 0), 0U);
+}
+
+// Every head/body/tail split of the 8-byte kernel: lengths 0..67 at each
+// of the eight start alignments, then one 1 MiB buffer.
+TEST(Crc32, MatchesTheReferenceAtEveryLengthAndAlignment) {
+  util::Rng rng(77);
+  std::vector<unsigned char> bytes(8 + 67);
+  for (auto& byte : bytes) {
+    byte = static_cast<unsigned char>(rng.below(256));
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 67; ++length) {
+      ASSERT_EQ(durability::crc32(bytes.data() + offset, length),
+                crc32_reference(bytes.data() + offset, length))
+          << "offset " << offset << ", length " << length;
+    }
+  }
+  std::vector<unsigned char> large(std::size_t{1} << 20);
+  for (auto& byte : large) {
+    byte = static_cast<unsigned char>(rng.below(256));
+  }
+  EXPECT_EQ(durability::crc32(large.data(), large.size()),
+            crc32_reference(large.data(), large.size()));
+}
+
+// Byte identity of both on-disk formats: a fixed cached-kIda crash run
+// killed after its last checkpoint but before the truncate leaves two
+// checkpoint files and a three-record WAL tail. The digests were
+// computed on the byte-at-a-time CRC and two-copy checkpoint frame
+// these files were first written with; any change to a frame, a CRC or
+// a snapshot body fails here.
+TEST(Durability, CheckpointAndWalBytesMatchTheirGoldenDigests) {
+  core::SimulationPipeline pipeline({.kind = core::SchemeKind::kIda,
+                                     .n = 16,
+                                     .seed = 3,
+                                     .cache_lines = 32});
+  core::CrashRecoveryOptions options;
+  options.steps = 24;
+  options.seed = 5;
+  options.kill_step = 21;
+  options.kill_point = core::KillPoint::kAfterCheckpointPreTruncate;
+  options.durability.directory = scratch_dir("golden_ida");
+  options.durability.wal_flush_interval = 2;
+  options.durability.checkpoint_interval = 6;
+  const auto result = pipeline.run_crash_recovery(options);
+  ASSERT_TRUE(result.bit_exact);
+  ASSERT_EQ(result.recovery.checkpoint_step, 21U);
+
+  const std::string& dir = options.durability.directory;
+  const auto previous =
+      file_bytes(durability::Checkpointer::path_for(dir, 18));
+  const auto newest = file_bytes(durability::Checkpointer::path_for(dir, 21));
+  const auto wal = file_bytes(dir + "/wal.log");
+  ASSERT_FALSE(previous.empty());
+  ASSERT_FALSE(newest.empty());
+  ASSERT_FALSE(wal.empty());
+  EXPECT_EQ(fnv_digest(previous), 0x90B1CC8986826A82ULL)
+      << previous.size() << " bytes";
+  EXPECT_EQ(fnv_digest(newest), 0x878347A290EB9D12ULL)
+      << newest.size() << " bytes";
+  EXPECT_EQ(fnv_digest(wal), 0x167F46C20EE95E5EULL)
+      << wal.size() << " bytes";
+
+  // file_image is the bytes write() puts on disk.
+  auto memory = core::make_memory(pipeline.spec());
+  EXPECT_TRUE(durability::Checkpointer::load(
+      durability::Checkpointer::path_for(dir, 21), *memory));
+  EXPECT_EQ(durability::Checkpointer::file_image(*memory, 21), newest);
 }
 
 // ----- WAL unit tests ------------------------------------------------------
@@ -199,6 +313,36 @@ TEST(Wal, TruncateThroughDropsOnlyCoveredRecords) {
   EXPECT_EQ(log.records[0].step, 5u);
   EXPECT_EQ(log.records[1].step, 6u);
   EXPECT_EQ(log.durable_step, 6u);
+}
+
+// The checkpoint protocol's usual case: the checkpoint covers every
+// record, so the truncate leaves an empty log, and the next append is
+// framed from offset 0 of the reopened file.
+TEST(Wal, TruncateThroughTheNewestStepLeavesAnEmptyAppendableLog) {
+  const std::string dir = scratch_dir("wal_trunc_all");
+  const std::string path = dir + "/wal.log";
+  durability::Wal wal({path, 1});
+  for (std::uint64_t step = 1; step <= 4; ++step) {
+    const std::vector<pram::VarWrite> writes = {
+        {VarId(static_cast<std::uint32_t>(step)),
+         static_cast<pram::Word>(step)}};
+    wal.append_step(step, writes);
+  }
+  wal.append_onset(4, 7);
+  wal.truncate_through(4);
+  EXPECT_EQ(wal.file_bytes(), 0U);
+  EXPECT_EQ(fs::file_size(path), 0U);
+  EXPECT_EQ(wal.durable_step(), 4U);
+
+  const std::vector<pram::VarWrite> writes = {{VarId(5), 55}};
+  wal.append_step(5, writes);
+  EXPECT_EQ(wal.last_record().offset, 0U);
+  wal.flush();
+  const auto log = durability::read_wal(path);
+  EXPECT_FALSE(log.torn_tail);
+  ASSERT_EQ(log.records.size(), 1U);
+  EXPECT_EQ(log.records[0].step, 5U);
+  EXPECT_EQ(log.durable_step, 5U);
 }
 
 // ----- checkpoint unit tests -----------------------------------------------

@@ -3,6 +3,7 @@
 // optimization that changes any element or its order fails loudly.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 namespace pramsim::testing {
@@ -13,6 +14,15 @@ class Fnv64 {
   void add(std::uint64_t value) {
     for (int i = 0; i < 8; ++i) {
       hash_ ^= (value >> (8 * i)) & 0xFFU;
+      hash_ *= 0x100000001B3ULL;
+    }
+  }
+
+  /// Fold in a byte string (a file's contents), one byte at a time.
+  void add_bytes(const void* data, std::size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < size; ++i) {
+      hash_ ^= bytes[i];
       hash_ *= 0x100000001B3ULL;
     }
   }

@@ -7,6 +7,7 @@
 #include <set>
 #include <vector>
 
+#include "faults/fault_model.hpp"
 #include "ida/dispersal.hpp"
 #include "ida/gf256.hpp"
 #include "ida/ida_memory.hpp"
@@ -216,6 +217,33 @@ TEST(Dispersal, MatrixCodecMatchesPerWordCodec) {
   }
 }
 
+// decode_word is one row of the healthy recovery matrix: for random
+// blocks and every k it equals word k of the full identity decode.
+TEST(Dispersal, DecodeWordMatchesDecodeBlock) {
+  for (const auto& [b, d] : {std::pair{1U, 3U}, std::pair{4U, 8U},
+                             std::pair{8U, 16U}}) {
+    Disperser disperser({b, d});
+    util::Rng rng(53 + b);
+    std::vector<std::uint32_t> identity(b);
+    std::iota(identity.begin(), identity.end(), 0U);
+    for (int t = 0; t < 20; ++t) {
+      std::vector<pram::Word> block(b);
+      for (auto& w : block) {
+        w = static_cast<pram::Word>(rng.next());
+      }
+      std::vector<pram::Word> shares(d);
+      disperser.encode_block(block.data(), shares.data());
+      std::vector<pram::Word> decoded(b);
+      disperser.decode_block(identity, shares.data(), decoded.data());
+      for (std::uint32_t k = 0; k < b; ++k) {
+        ASSERT_EQ(disperser.decode_word(shares.data(), k), decoded[k])
+            << "b " << b << ", block " << t << ", word " << k;
+        ASSERT_EQ(decoded[k], block[k]);
+      }
+    }
+  }
+}
+
 TEST(Dispersal, StorageFactorIsDOverB) {
   EXPECT_DOUBLE_EQ(Disperser({4, 8}).storage_factor(), 2.0);
   EXPECT_DOUBLE_EQ(Disperser({10, 15}).storage_factor(), 1.5);
@@ -315,6 +343,52 @@ TEST(IdaMemory, OracleConsistencyUnderRandomStream) {
       oracle[w.var.value()] = w.value;
     }
   }
+}
+
+// peek decodes one word on the healthy path and recovers the whole
+// block under fault hooks. After random writes, both must equal a
+// served read of every variable (the full-block decode) and the written
+// value. Four dead modules of 32 leave every block (d = 8 distinct
+// modules) at least b = 4 surviving shares.
+TEST(IdaMemory, PeekMatchesServedReadsHealthyAndFaulted) {
+  const IdaMemoryConfig cfg = small_config();
+  IdaMemory mem(256, cfg);
+  std::map<std::uint32_t, Word> oracle;
+  util::Rng rng(41);
+  for (int step = 0; step < 40; ++step) {
+    std::set<std::uint32_t> wset;
+    for (std::uint64_t i = 0, k = rng.below(12); i < k; ++i) {
+      wset.insert(static_cast<std::uint32_t>(rng.below(256)));
+    }
+    std::vector<VarWrite> writes;
+    for (const auto v : wset) {
+      writes.push_back({VarId(v), static_cast<Word>(rng.next())});
+      oracle[v] = writes.back().value;
+    }
+    mem.step({}, {}, writes);
+  }
+  std::vector<VarId> all;
+  for (std::uint32_t v = 0; v < 256; ++v) {
+    all.emplace_back(v);
+  }
+  const auto expect_every_var = [&](const char* mode) {
+    std::vector<Word> served(all.size());
+    mem.step(all, served, {});
+    for (std::uint32_t v = 0; v < 256; ++v) {
+      const auto it = oracle.find(v);
+      ASSERT_EQ(served[v], it == oracle.end() ? 0 : it->second)
+          << mode << " var " << v;
+      ASSERT_EQ(mem.peek(VarId(v)), served[v]) << mode << " var " << v;
+    }
+  };
+  expect_every_var("healthy");
+
+  const faults::FaultModel faults({.seed = 7, .dead_modules = 4},
+                                  cfg.n_modules);
+  ASSERT_EQ(faults.dead_module_count(), 4U);
+  ASSERT_TRUE(mem.set_fault_hooks(&faults));
+  expect_every_var("faulted");
+  mem.set_fault_hooks(nullptr);
 }
 
 TEST(IdaMemory, WorkAmplificationIsThetaB) {
